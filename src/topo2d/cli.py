@@ -18,7 +18,7 @@ from . import export
 from .estimator import ErrorBreakdown, estimate, write_error_report
 from .fem import Material
 from .mesh import Mesh, classify_boundary, generate_mesh
-from .optimizer import (DensityField, OptimizeResult, SimpConfig, optimize,
+from .optimizer import (BisectionError, DensityField, SimpConfig, optimize,
                         write_history_csv)
 from .presets import PRESETS, build_load_case, preset_domain_spec
 from .solver import LoadCase, SingularSystemError, assemble, solve
@@ -224,6 +224,15 @@ def resolve_config(flags: dict, file_values: dict | None = None) -> RunConfig:
 
 def prepare(cfg: RunConfig):
     """Build the mesh, classified boundary and load case for a config."""
+    simp = SimpConfig(
+        volfrac=cfg.volfrac,
+        penal=cfg.penal,
+        rmin=cfg.rmin,
+        move=cfg.move,
+        conv_tol=cfg.conv_tol,
+        max_iters=cfg.max_iters,
+    )
+    simp.validate()
     if cfg.elem == "q1":
         nx, ny = cfg.nx, cfg.ny
     else:
@@ -243,14 +252,6 @@ def prepare(cfg: RunConfig):
     case = build_load_case(cfg.problem, mesh)
     mesh = classify_boundary(mesh, case)
     material = Material(E=1.0, nu=0.3, model=_MATERIAL[cfg.material])
-    simp = SimpConfig(
-        volfrac=cfg.volfrac,
-        penal=cfg.penal,
-        rmin=cfg.rmin,
-        move=cfg.move,
-        conv_tol=cfg.conv_tol,
-        max_iters=cfg.max_iters,
-    )
     return mesh, case, material, simp
 
 
@@ -424,7 +425,7 @@ def main(argv=None) -> int:
         return 0
     except (ValueError, FileNotFoundError) as exc:
         parser.exit(2, f"error: {exc}\n")
-    except SingularSystemError as exc:
+    except (SingularSystemError, BisectionError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -290,9 +290,7 @@ def element_stiffness_batch(
                 f"degenerate element {bad}: Jacobian determinant {det[bad]:g}"
             )
         b = _b_from_gradients(dphys)
-        kmat += (weight * ref) * det[:, None, None] * np.einsum(
-            "mia,ij,mjb->mab", b, amat, b
-        )
+        kmat += (weight * ref) * det[:, None, None] * (b.transpose(0, 2, 1) @ (amat @ b))
     return kmat
 
 

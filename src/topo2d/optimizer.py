@@ -37,6 +37,10 @@ class SimpConfig:
     x_min: float = 1e-3
 
     def validate(self) -> None:
+        for name, value in vars(self).items():
+            # conv_tol = inf is allowed: it stops the loop after one iteration
+            if np.isnan(value) or (np.isinf(value) and name != "conv_tol"):
+                raise ValueError(f"{name} must be finite (got {value})")
         if not 0.0 < self.volfrac <= 1.0:
             raise ValueError("volfrac must lie in (0, 1]")
         if self.penal < 1.0:
@@ -45,6 +49,9 @@ class SimpConfig:
             raise ValueError("rmin, move and damping must be positive")
         if not 0.0 < self.x_min < 1.0:
             raise ValueError("x_min must lie in (0, 1)")
+        if self.volfrac < self.x_min:
+            raise ValueError(f"volfrac {self.volfrac:g} is below the density floor "
+                             f"x_min {self.x_min:g}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 

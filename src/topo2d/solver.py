@@ -3,10 +3,18 @@
 Dirichlet conditions are enforced by elimination: the system is reduced to
 free degrees of freedom, solved with a sparse direct factorization (a
 diagonally preconditioned conjugate-gradient fallback is available), and
-expanded back. Every solve is checked against its own residual.
+expanded back.
+
+The optimizer's repeated solves go through StiffnessAssembler, which fixes
+the CSC pattern of the reduced matrix once per mesh together with the slot
+of every element-matrix entry in it; each assembly is then one weighted
+bincount into that pattern. SuperLU factors with the fill-reducing minimum
+degree ordering of K + K^T, which suits the symmetric stiffness pattern.
+Every solve is checked once against its own relative residual; a zero
+right-hand side is checked by solving a fixed probe instead.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,19 +44,6 @@ class LoadCase:
     point_loads: tuple = ()
     traction: object = None
     body_force: tuple[float, float] = (0.0, 0.0)
-
-
-class DofMap:
-    """Node id -> (x-dof, y-dof) with the interleaved numbering 2n, 2n+1."""
-
-    def __init__(self, n_nodes: int):
-        self.n_nodes = n_nodes
-        self.ndof = 2 * n_nodes
-
-    def node_dofs(self, node: int) -> tuple[int, int]:
-        if not 0 <= node < self.n_nodes:
-            raise ValueError(f"node id {node} outside [0, {self.n_nodes})")
-        return 2 * node, 2 * node + 1
 
 
 def element_dof_matrix(conn: np.ndarray) -> np.ndarray:
@@ -151,7 +146,9 @@ class StiffnessAssembler:
 
     Element matrices are density independent; each assembly only rescales
     them by x^p and sums into sparse storage, so the optimizer pays the
-    element integration cost once per mesh.
+    element integration cost once per mesh. The reduced (free-dof) matrix
+    keeps one CSC pattern for the life of the assembler, and _slot holds the
+    position of every element-matrix entry in that pattern's data array.
     """
 
     def __init__(self, mesh: meshmod.Mesh, material: fem.Material, case: LoadCase):
@@ -161,45 +158,84 @@ class StiffnessAssembler:
         coords = mesh.nodes[mesh.conn]
         self.k0 = fem.element_stiffness_batch(mesh.family, coords, material)
         self.edofs = element_dof_matrix(mesh.conn)
-        n_el, w = self.edofs.shape
         self.ndof = 2 * mesh.n_nodes
-        self._rows = np.broadcast_to(self.edofs[:, :, None], (n_el, w, w)).ravel()
-        self._cols = np.broadcast_to(self.edofs[:, None, :], (n_el, w, w)).ravel()
-        self._entry_elem = np.repeat(np.arange(n_el), w * w)
-        self._k0_flat = self.k0.ravel()
 
         self.F = build_load_vector(mesh, case)
         self.constrained = constrained_dof_ids(case)
         free_mask = np.ones(self.ndof, dtype=bool)
         free_mask[self.constrained] = False
         self.free = np.flatnonzero(free_mask)
-        keep = free_mask[self._rows] & free_mask[self._cols]
-        remap = np.full(self.ndof, -1, dtype=np.int64)
-        remap[self.free] = np.arange(len(self.free))
-        self._keep = keep
-        self._rows_free = remap[self._rows[keep]]
-        self._cols_free = remap[self._cols[keep]]
+        self._build_reduced_pattern(free_mask[0::2])
+
+    def _build_reduced_pattern(self, free_node: np.ndarray) -> None:
+        # Supports pin whole nodes, so the J-th free node owns reduced dofs 2J
+        # and 2J+1 and the pattern is made of 2x2 node blocks: only node
+        # pairs are sorted, a quarter of the dof pairs.
+        n_el, k = self.mesh.conn.shape
+        n_free = int(free_node.sum())
+        rank = (np.cumsum(free_node) - 1)[self.mesh.conn]
+        ok = free_node[self.mesh.conn]
+        pair_ok = ok[:, :, None] & ok[:, None, :]
+        # column-major keys sort node pairs by column node, then row node
+        keys, pair = np.unique((rank[:, None, :] * n_free + rank[:, :, None])[pair_ok],
+                               return_inverse=True)
+        col_node = keys // n_free
+        deg = np.bincount(col_node, minlength=n_free)
+        # dof column 2J+b holds the rows (2I, 2I+1) of each row node I of
+        # column J in turn, so the t-th pair of column J puts entry
+        # (2I+a, 2J+b) at 4*start[J] + 2*t + a + b*2*deg[J]
+        start = np.concatenate(([0], np.cumsum(deg)))
+        pos = 2 * (start[col_node] + np.arange(len(keys)))
+        step = 2 * deg[col_node]
+        nnz = 4 * len(keys)
+        # pairs on a pinned node land in the two slots past the end
+        first = np.full((n_el, k, k), nnz, dtype=np.int64)
+        first[pair_ok] = pos[pair]
+        stride = np.zeros((n_el, k, k), dtype=np.int64)
+        stride[pair_ok] = step[pair]
+        # element dof (2p+a, 2q+b) flattens in the (p, a, q, b) order of k0
+        slot = np.empty((n_el, k, 2, k, 2), dtype=np.int64)
+        slot[:, :, 0, :, 0] = first
+        slot[:, :, 1, :, 0] = first + 1
+        slot[:, :, :, :, 1] = slot[:, :, :, :, 0] + stride[:, :, None, :]
+        self._slot = slot.ravel()
+
+        indices = np.empty(nnz, dtype=np.int64)
+        rows = 2 * (keys % n_free)
+        for a in (0, 1):
+            indices[pos + a] = rows + a
+            indices[pos + step + a] = rows + a
+        indptr = np.concatenate(([0], np.cumsum(np.repeat(2 * deg, 2))))
+        # let scipy choose the index dtype once, so that later matrices reuse
+        # the arrays as they are
+        pattern = sp.csc_matrix((np.zeros(nnz), indices, indptr),
+                                shape=(2 * n_free, 2 * n_free))
+        self._indices, self._indptr = pattern.indices, pattern.indptr
 
     def scaled_data(self, x: np.ndarray, penal: float) -> np.ndarray:
-        return self._k0_flat * (x ** penal)[self._entry_elem]
+        return (self.k0 * (x ** penal)[:, None, None]).ravel()
 
     def global_system(self, x: np.ndarray, penal: float) -> GlobalSystem:
         data = self.scaled_data(x, penal)
-        K = sp.coo_matrix((data, (self._rows, self._cols)), shape=(self.ndof, self.ndof))
+        n_el, w = self.edofs.shape
+        rows = np.broadcast_to(self.edofs[:, :, None], (n_el, w, w)).ravel()
+        cols = np.broadcast_to(self.edofs[:, None, :], (n_el, w, w)).ravel()
+        K = sp.coo_matrix((data, (rows, cols)), shape=(self.ndof, self.ndof))
         return GlobalSystem(K.tocsc(), self.F.copy(), self.constrained, self.ndof)
 
     def reduced_matrix(self, x: np.ndarray, penal: float) -> sp.csc_matrix:
-        data = self.scaled_data(x, penal)[self._keep]
+        nnz = len(self._indices)
+        data = np.bincount(self._slot, weights=self.scaled_data(x, penal), minlength=nnz + 2)
         n = len(self.free)
-        return sp.coo_matrix((data, (self._rows_free, self._cols_free)), shape=(n, n)).tocsc()
+        return sp.csc_matrix((data[:nnz], self._indices, self._indptr), shape=(n, n))
 
     def solve(self, x: np.ndarray, penal: float, method: str = "direct") -> SolveResult:
         if len(self.free) == 0:
             raise ValueError("all degrees of freedom are constrained")
         K_ff = self.reduced_matrix(x, penal)
         rhs = self.F[self.free]
-        u_f = _solve_reduced(K_ff, rhs, method)
-        return _expand_solution(K_ff, rhs, u_f, self.free, self.ndof, self.F)
+        u_f, residual_norm = _solve_reduced(K_ff, rhs, method)
+        return _expand_solution(u_f, residual_norm, self.free, self.ndof, self.F)
 
     def strain_energies(self, U: np.ndarray) -> np.ndarray:
         """Per-element u_e^T K0_e u_e at unit density."""
@@ -237,26 +273,36 @@ def apply_dirichlet(system: GlobalSystem, prescribed: np.ndarray | None = None):
     return K_ff, rhs, free
 
 
-def _solve_reduced(K_ff: sp.csc_matrix, rhs: np.ndarray, method: str) -> np.ndarray:
+def _relative_residual(K: sp.csc_matrix, u: np.ndarray, b: np.ndarray) -> float:
+    norm_b = np.linalg.norm(b)
+    return float(np.linalg.norm(K @ u - b) / (norm_b if norm_b > 0.0 else 1.0))
+
+
+def _solve_reduced(K_ff: sp.csc_matrix, rhs: np.ndarray, method: str):
+    """Solve K_ff u = rhs; returns (u, relative residual) once the checks pass.
+
+    Residual comparisons are written as ``not resid <= tol`` so that a NaN
+    residual fails them.
+    """
     if method == "direct":
         try:
-            lu = spla.splu(K_ff)
+            lu = spla.splu(K_ff, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise SingularSystemError(f"direct factorization failed: {exc}") from exc
-        pivots = np.abs(lu.U.diagonal())
-        smallest = float(pivots.min()) if len(pivots) else 0.0
         # a zero rhs would mask a (numerically) singular factorization, so
         # probe the factor with a fixed right-hand side in that case
-        norm_rhs = np.linalg.norm(rhs)
-        probe = rhs if norm_rhs > 0.0 else np.sin(np.arange(1, len(rhs) + 1, dtype=float))
+        zero_rhs = not np.any(rhs)
+        probe = np.sin(np.arange(1, len(rhs) + 1, dtype=float)) if zero_rhs else rhs
         u = lu.solve(probe)
-        resid = np.linalg.norm(K_ff @ u - probe) / max(np.linalg.norm(probe), 1e-300)
-        if not np.all(np.isfinite(u)) or resid > RESIDUAL_TOL:
+        resid = _relative_residual(K_ff, u, probe)
+        if not np.all(np.isfinite(u)) or not resid <= RESIDUAL_TOL:
+            pivots = np.abs(lu.U.diagonal())
+            smallest = float(pivots.min()) if len(pivots) else 0.0
             raise SingularSystemError(
                 "reduced system is singular or ill-conditioned "
                 f"(smallest pivot {smallest:.3e}, probe residual {resid:.3e})"
             )
-        return u if norm_rhs > 0.0 else np.zeros_like(rhs)
+        return (np.zeros_like(rhs), 0.0) if zero_rhs else (u, resid)
     if method == "cg":
         diag = K_ff.diagonal()
         if np.any(diag <= 0.0):
@@ -268,21 +314,19 @@ def _solve_reduced(K_ff: sp.csc_matrix, rhs: np.ndarray, method: str) -> np.ndar
             raise SingularSystemError(
                 f"cg failed to converge within {maxiter} iterations (info={info})"
             )
-        return u
+        resid = _relative_residual(K_ff, u, rhs)
+        if not resid <= RESIDUAL_TOL:
+            raise SingularSystemError(f"solve residual {resid:.3e} exceeds {RESIDUAL_TOL:g}")
+        return u, resid
     raise ValueError(f"unknown solve method {method!r}")
 
 
-def _expand_solution(K_ff, rhs, u_f, free, ndof, F, prescribed=None,
+def _expand_solution(u_f, residual_norm, free, ndof, F, prescribed=None,
                      constrained=None) -> SolveResult:
     U = np.zeros(ndof)
     U[free] = u_f
     if prescribed is not None and constrained is not None and len(constrained):
         U[constrained] = np.asarray(prescribed, dtype=float)[constrained]
-    residual = K_ff @ u_f - rhs
-    denom = np.linalg.norm(rhs)
-    residual_norm = float(np.linalg.norm(residual) / (denom if denom > 0.0 else 1.0))
-    if residual_norm > RESIDUAL_TOL:
-        raise SingularSystemError(f"solve residual {residual_norm:.3e} exceeds {RESIDUAL_TOL:g}")
     compliance = float(F @ U)
     return SolveResult(U=U, residual_norm=residual_norm, compliance=compliance)
 
@@ -297,8 +341,8 @@ def solve(system: GlobalSystem, method: str = "direct",
     singular or the residual check fails.
     """
     K_ff, rhs, free = apply_dirichlet(system, prescribed)
-    u_f = _solve_reduced(K_ff, rhs, method)
+    u_f, residual_norm = _solve_reduced(K_ff, rhs, method)
     return _expand_solution(
-        K_ff, rhs, u_f, free, system.ndof, system.F,
+        u_f, residual_norm, free, system.ndof, system.F,
         prescribed=prescribed, constrained=system.constrained_dofs,
     )

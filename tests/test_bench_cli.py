@@ -269,6 +269,29 @@ def test_main_exit_codes(tmp_path):
         main(["--problem", "cantilever", "--triangulation", "fan"])
     assert exc.value.code == 2
 
+    # non-finite or infeasible SIMP values are rejected before any solve
+    for flag, value in (("--rmin", "nan"), ("--volfrac", "1e-9"),
+                        ("--penal", "nan")):
+        with pytest.raises(SystemExit) as exc:
+            main(["--problem", "cantilever", "--nx", "6", "--ny", "4",
+                  "--quiet", "--out", str(tmp_path / "bad"), flag, value])
+        assert exc.value.code == 2
+
+
+def test_main_bisection_failure_exits_one(tmp_path, monkeypatch, capsys):
+    import topo2d.optimizer
+
+    def failing_update(*args, **kwargs):
+        raise topo2d.optimizer.BisectionError("volume bisection did not converge")
+
+    monkeypatch.setattr(topo2d.optimizer, "oc_update", failing_update)
+    rc = main(["--problem", "cantilever", "--nx", "6", "--ny", "4",
+               "--max-iters", "2", "--quiet", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "bisection" in err and "Traceback" not in err
+
 
 def test_sweep_runs_and_combined_report(tmp_path, capsys):
     sweep = tmp_path / "sweep.txt"

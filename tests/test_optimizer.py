@@ -157,7 +157,16 @@ def test_simp_config_validation():
         SimpConfig(volfrac=0.4, x_min=0.0).validate()
     with pytest.raises(ValueError):
         SimpConfig(volfrac=0.4, max_iters=0).validate()
+    for field in ("volfrac", "penal", "rmin", "move", "damping", "conv_tol", "x_min"):
+        with pytest.raises(ValueError, match=field):
+            SimpConfig(**{"volfrac": 0.4, field: np.nan}).validate()
+    for field in ("penal", "rmin", "move", "damping"):
+        with pytest.raises(ValueError, match=field):
+            SimpConfig(**{"volfrac": 0.4, field: np.inf}).validate()
+    with pytest.raises(ValueError, match="x_min"):
+        SimpConfig(volfrac=1e-4, x_min=1e-3).validate()
     SimpConfig(volfrac=0.4).validate()
+    SimpConfig(volfrac=0.4, conv_tol=np.inf).validate()
 
 
 def test_optimize_stops_after_one_iteration_with_inf_tol():

@@ -325,3 +325,33 @@ def test_assembler_strain_energies_match_definition():
         dofs = element_dof_matrix(mesh.conn[e][None])[0]
         ue = result.U[dofs]
         assert abs(sed[e] - ue @ ke @ ue) < 1e-12
+
+
+@pytest.mark.parametrize("family,tri", [("q1", "two_split"), ("p1", "cross_split"),
+                                        ("p2", "two_split")])
+def test_assembler_reduced_solve_matches_oracle(family, tri):
+    # the optimizer's path (fixed reduced pattern, one factorization per
+    # solve) against the dense oracle and the assemble/solve path
+    mesh = generate_mesh(DomainSpec(4.0, 3.0, 4, 3, triangulation=tri), family)
+    x = np.random.default_rng(5).uniform(0.05, 1.0, mesh.n_elements)
+    case = cantilever_case(mesh)
+    asm = StiffnessAssembler(mesh, MAT, case)
+    free = np.setdiff1d(np.arange(2 * mesh.n_nodes), constrained_dof_ids(case))
+    oracle = dense_assembly_oracle(mesh, MAT, x, 3.0)[np.ix_(free, free)]
+    np.testing.assert_allclose(asm.reduced_matrix(x, 3.0).toarray(), oracle,
+                               rtol=1e-12, atol=1e-12)
+
+    result = asm.solve(x, 3.0)
+    reference = solve(assemble(mesh, x, 3.0, MAT, case))
+    np.testing.assert_allclose(result.U, reference.U, rtol=1e-10, atol=1e-12)
+    assert abs(result.compliance - reference.compliance) < 1e-10 * reference.compliance
+    assert result.residual_norm <= 1e-8
+
+    unloaded = StiffnessAssembler(mesh, MAT, LoadCase(fixed_nodes=case.fixed_nodes))
+    np.testing.assert_array_equal(unloaded.solve(x, 3.0).U, 0.0)
+
+    floating = StiffnessAssembler(
+        mesh, MAT, LoadCase(fixed_nodes=np.array([], dtype=int),
+                            point_loads=case.point_loads))
+    with pytest.raises(SingularSystemError):
+        floating.solve(x, 3.0)
