@@ -18,8 +18,7 @@ from . import export
 from .estimator import ErrorBreakdown, estimate, write_error_report
 from .fem import Material
 from .mesh import Mesh, classify_boundary, generate_mesh
-from .optimizer import (BisectionError, DensityField, SimpConfig, optimize,
-                        write_history_csv)
+from .optimizer import BisectionError, SimpConfig, optimize, write_history_csv
 from .presets import PRESETS, build_load_case, preset_domain_spec
 from .solver import LoadCase, SingularSystemError, assemble, solve
 
@@ -137,17 +136,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_config_file(path) -> dict:
-    values = {}
+def _assignment_lines(path, split: bool):
+    """Yield {key: value} for each non-blank line of a key=value file.
+
+    '#' starts a comment. With split, a line holds whitespace-separated
+    key=value tokens; otherwise it is one assignment, spaces allowed around
+    '='. Dashes in keys become underscores.
+    """
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+            values = {}
+            for token in line.split() if split else [line]:
+                if "=" not in token:
+                    raise ValueError(f"{path}:{lineno}: expected key=value, got {token!r}")
+                key, _, value = token.partition("=")
+                values[key.strip().replace("-", "_")] = value.strip()
+            yield values
+
+
+def parse_config_file(path) -> dict:
+    values = {}
+    for line_values in _assignment_lines(path, split=False):
+        values.update(line_values)
     return values
 
 
@@ -182,15 +195,11 @@ def resolve_config(flags: dict, file_values: dict | None = None) -> RunConfig:
             f"--problem must be one of {sorted(PRESETS)} (got {problem!r})"
         )
     preset = PRESETS[problem]
-    merged.setdefault("nx", int(round(preset.width)))
-    merged.setdefault("ny", int(round(preset.height)))
-    merged.setdefault("volfrac", preset.volfrac)
-    if merged.get("nx") is None:
-        merged["nx"] = int(round(preset.width))
-    if merged.get("ny") is None:
-        merged["ny"] = int(round(preset.height))
-    if merged.get("volfrac") is None:
-        merged["volfrac"] = preset.volfrac
+    for key, default in (("nx", int(round(preset.width))),
+                         ("ny", int(round(preset.height))),
+                         ("volfrac", preset.volfrac)):
+        if merged.get(key) is None:
+            merged[key] = default
 
     if merged["elem"] not in ("q1", "p1", "p2"):
         raise ValueError(f"--elem must be q1, p1 or p2 (got {merged['elem']!r})")
@@ -263,13 +272,7 @@ def _config_lines(cfg: RunConfig) -> str:
 
 def estimate_solid(mesh: Mesh, case: LoadCase, material: Material) -> ErrorBreakdown:
     """Solve the fully solid design (density one everywhere) and estimate."""
-    solid = DensityField(
-        x=np.ones(mesh.n_elements),
-        passive=np.zeros(mesh.n_elements, dtype=bool),
-        volumes=mesh.areas.copy(),
-        x_min=1e-3,
-    )
-    system = assemble(mesh, solid, 1.0, material, case)
+    system = assemble(mesh, np.ones(mesh.n_elements), 1.0, material, case)
     result = solve(system)
     return estimate(mesh, result.U, material, case)
 
@@ -353,24 +356,9 @@ def _sweep_worker(task):
 
 def run_sweep(sweep_path, flags: dict, jobs: int) -> list:
     """Run every line of a sweep file in a parallel worker pool."""
-    with open(sweep_path) as fh:
-        lines = [
-            (lineno, line.split("#", 1)[0].strip())
-            for lineno, line in enumerate(fh, start=1)
-        ]
     configs = []
     base_out = flags.get("out") or _DEFAULTS["out"]
-    for lineno, line in lines:
-        if not line:
-            continue
-        values = {}
-        for token in line.split():
-            if "=" not in token:
-                raise ValueError(
-                    f"{sweep_path}:{lineno}: expected key=value tokens, got {token!r}"
-                )
-            key, _, value = token.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+    for values in _assignment_lines(sweep_path, split=True):
         cfg = resolve_config(flags, values)
         index = len(configs)
         cfg.out = os.path.join(base_out, f"run_{index:03d}")

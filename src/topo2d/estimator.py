@@ -87,14 +87,7 @@ def stress_divergence(mesh: meshmod.Mesh, material: fem.Material,
     if mesh.family == "q1":
         center = np.zeros((n_el, 2))
     _, dref = fem.shape_functions_at(mesh.family, center)
-    jac = np.einsum("eka,ekb->eab", coords, dref)
-    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-    inv = np.empty_like(jac)
-    inv[:, 0, 0] = jac[:, 1, 1]
-    inv[:, 0, 1] = -jac[:, 0, 1]
-    inv[:, 1, 0] = -jac[:, 1, 0]
-    inv[:, 1, 1] = jac[:, 0, 0]
-    inv = inv / det[:, None, None]
+    inv, _ = fem.inverse_jacobian(coords, dref)
 
     href = fem.shape_function_hessians(mesh.family)
     hphys = np.einsum("eca,kcd,edb->ekab", inv, href, inv)
@@ -124,39 +117,22 @@ def bulk_residual(mesh: meshmod.Mesh, material: fem.Material, U: np.ndarray,
     return mesh.diameters ** 2 * mesh.areas * sq
 
 
-def _edge_normals(mesh: meshmod.Mesh, edges: np.ndarray, side: int) -> np.ndarray:
-    """Unit normals on the given edges, outward from the side-th adjacent element."""
-    a = mesh.nodes[mesh.edge_nodes[edges, 0]]
-    b = mesh.nodes[mesh.edge_nodes[edges, 1]]
-    tang = b - a
-    normal = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
-    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
-    mid = 0.5 * (a + b)
-    elems = mesh.edge_elems[edges, side]
-    flip = np.einsum("mc,mc->m", normal, mid - mesh.centroids[elems]) < 0.0
-    normal[flip] *= -1.0
-    return normal
-
-
 def _edge_tractions(mesh: meshmod.Mesh, material: fem.Material, U: np.ndarray,
-                    edges: np.ndarray, side: int) -> tuple[np.ndarray, np.ndarray]:
-    """sigma(u_h) . n on edge quadrature points, traced from one side.
+                    edges: np.ndarray, side: int, pts: np.ndarray,
+                    normal: np.ndarray) -> np.ndarray:
+    """sigma(u_h) . n on the edge points pts (ne, q, 2), traced from one side.
 
-    Returns (tractions (ne, q, 2), quadrature weights (q,)).
+    normal (ne, 2) holds the unit normals pointing out of the side-th
+    adjacent element. Returns tractions (ne, q, 2).
     """
-    t, w = fem.edge_quadrature_3pt()
-    a = mesh.nodes[mesh.edge_nodes[edges, 0]]
-    b = mesh.nodes[mesh.edge_nodes[edges, 1]]
-    pts = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
-    n_e, n_q = len(edges), len(t)
+    n_e, n_q = pts.shape[:2]
     elems = np.repeat(mesh.edge_elems[edges, side], n_q)
     sigma = _stress_at(mesh, material, U, elems, pts.reshape(-1, 2))
     sigma = sigma.reshape(n_e, n_q, 3)
-    normal = _edge_normals(mesh, edges, side)
     nx, ny = normal[:, 0:1], normal[:, 1:2]
     tx = sigma[:, :, 0] * nx + sigma[:, :, 2] * ny
     ty = sigma[:, :, 2] * nx + sigma[:, :, 1] * ny
-    return np.stack([tx, ty], axis=2), w
+    return np.stack([tx, ty], axis=2)
 
 
 def jump_residual(mesh: meshmod.Mesh, material: fem.Material,
@@ -172,8 +148,12 @@ def jump_residual(mesh: meshmod.Mesh, material: fem.Material,
         return values
     if np.any(mesh.edge_elems[interior, 1] < 0):
         raise RuntimeError("interior edge missing its second adjacent element")
-    plus, w = _edge_tractions(mesh, material, U, interior, side=0)
-    minus, _ = _edge_tractions(mesh, material, U, interior, side=1)
+    t, w = fem.edge_quadrature_3pt()
+    pts = meshmod.edge_points(mesh, interior, t)
+    plus = _edge_tractions(mesh, material, U, interior, 0, pts,
+                           meshmod.edge_normals(mesh, interior, 0))
+    minus = _edge_tractions(mesh, material, U, interior, 1, pts,
+                            meshmod.edge_normals(mesh, interior, 1))
     jump = plus + minus
     sq = np.einsum("eqc,eqc->eq", jump, jump)
     values[interior] = mesh.edge_length[interior] ** 2 * (sq @ w)
@@ -187,15 +167,12 @@ def neumann_residual(mesh: meshmod.Mesh, material: fem.Material, U: np.ndarray,
     neumann = np.flatnonzero(mesh.edge_kind == meshmod.NEUMANN)
     if len(neumann) == 0:
         return values
-    flux, w = _edge_tractions(mesh, material, U, neumann, side=0)
-    residual = -flux
+    t, w = fem.edge_quadrature_3pt()
+    pts = meshmod.edge_points(mesh, neumann, t)
+    normals = meshmod.edge_normals(mesh, neumann)
+    residual = -_edge_tractions(mesh, material, U, neumann, 0, pts, normals)
     if traction is not None:
-        t, _ = fem.edge_quadrature_3pt()
-        normals = _edge_normals(mesh, neumann, side=0)
-        for row, edge in enumerate(neumann):
-            a, b = mesh.nodes[mesh.edge_nodes[edge, 0]], mesh.nodes[mesh.edge_nodes[edge, 1]]
-            pts = a[None, :] + t[:, None] * (b - a)[None, :]
-            residual[row] += np.asarray(traction(pts, normals[row]), dtype=float)
+        residual += np.array([traction(p, n) for p, n in zip(pts, normals)], dtype=float)
     sq = np.einsum("eqc,eqc->eq", residual, residual)
     values[neumann] = mesh.edge_length[neumann] ** 2 * (sq @ w)
     return values

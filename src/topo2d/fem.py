@@ -227,7 +227,17 @@ def gradients_physical(family: str, coords: np.ndarray, points: np.ndarray):
     Returns values (m, k), gradients (m, k, 2) and det (m,).
     """
     values, dref = shape_functions_at(family, points)
-    jac = np.einsum("mka,mkb->mab", coords, dref)
+    inv, det = inverse_jacobian(coords, dref)
+    return values, dref @ inv, det
+
+
+def inverse_jacobian(coords: np.ndarray, dref: np.ndarray):
+    """Inverse (m, 2, 2) and determinant (m,) of the reference map's Jacobian.
+
+    coords and reference gradients dref are (m, k, 2), one point per element.
+    A singular Jacobian returns its adjugate, so callers can report det = 0.
+    """
+    jac = np.swapaxes(coords, 1, 2) @ dref
     det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
     inv = np.empty_like(jac)
     inv[:, 0, 0] = jac[:, 1, 1]
@@ -235,9 +245,7 @@ def gradients_physical(family: str, coords: np.ndarray, points: np.ndarray):
     inv[:, 1, 0] = -jac[:, 1, 0]
     inv[:, 1, 1] = jac[:, 0, 0]
     safe = np.where(det == 0.0, 1.0, det)
-    inv = inv / safe[:, None, None]
-    dphys = np.einsum("mkb,mba->mka", dref, inv)
-    return values, dphys, det
+    return inv / safe[:, None, None], det
 
 
 def _b_from_gradients(dphys: np.ndarray) -> np.ndarray:
@@ -303,6 +311,11 @@ def element_stiffness(
     )[0]
 
 
+def element_energies(kmat: np.ndarray, u_e: np.ndarray) -> np.ndarray:
+    """Quadratic forms u_e^T K_e u_e for a batch; kmat (E, n, n), u_e (E, n)."""
+    return np.einsum("ei,eij,ej->e", u_e, kmat, u_e)
+
+
 def strain_energy(family: str, coords, material: Material, u_e) -> float:
     """Quadratic form u_e^T K_e u_e for one element."""
     u_e = np.asarray(u_e, dtype=float)
@@ -310,15 +323,16 @@ def strain_energy(family: str, coords, material: Material, u_e) -> float:
     if u_e.shape != (2 * k,):
         raise ValueError(f"expected displacement vector of length {2 * k}, got {u_e.shape}")
     kmat = element_stiffness(family, coords, material)
-    return float(u_e @ kmat @ u_e)
+    return float(element_energies(kmat[None], u_e[None])[0])
 
 
 def reference_coords(family: str, coords: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Map physical points into element reference coordinates, batched.
 
     coords (m, k, 2), points (m, 2) -> (m, 2). Triangles invert the affine
-    map directly; quads run a short Newton loop (one step suffices for the
-    rectangles produced by the mesh generator).
+    map directly; quads run at most 4 Newton steps and stop once no point
+    moves by more than 1e-12. One step is exact on the rectangles produced
+    by the mesh generator, so they stop after the second.
     """
     check_family(family)
     coords = np.asarray(coords, dtype=float)
@@ -336,12 +350,10 @@ def reference_coords(family: str, coords: np.ndarray, points: np.ndarray) -> np.
     ref = np.zeros_like(points)
     for _ in range(4):
         values, dref = shape_functions_at("q1", ref)
-        mapped = np.einsum("mk,mka->ma", values, coords)
-        jac = np.einsum("mka,mkb->mab", coords, dref)
-        res = points - mapped
-        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-        dxi = (jac[:, 1, 1] * res[:, 0] - jac[:, 0, 1] * res[:, 1]) / det
-        deta = (-jac[:, 1, 0] * res[:, 0] + jac[:, 0, 0] * res[:, 1]) / det
-        ref[:, 0] += dxi
-        ref[:, 1] += deta
+        res = points - np.einsum("mk,mka->ma", values, coords)
+        inv, _ = inverse_jacobian(coords, dref)
+        step = np.einsum("mab,mb->ma", inv, res)
+        ref += step
+        if np.all(np.abs(step) <= 1e-12):
+            break
     return ref

@@ -157,18 +157,33 @@ def _cross_split(points: np.ndarray, nx: int, ny: int) -> tuple[np.ndarray, np.n
     return np.vstack([points, centers]), tris
 
 
-def _unique_edges(tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted unique vertex pairs of a triangulation and the per-slot inverse."""
-    raw = np.sort(tris[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2), axis=1)
-    pairs, inverse = np.unique(raw, axis=0, return_inverse=True)
-    return pairs, inverse.reshape(len(tris), 3)
+def _unique_edges(conn: np.ndarray, local=_LOCAL_EDGES["p1"]):
+    """Group the local edges of every element by their vertex pair.
+
+    Slot s = e * len(local) + i stands for local edge i of element e.
+    Returns the sorted unique pairs (lo, hi), the pair of every slot
+    (E, len(local)), and per pair its first slot and its second one (-1 on
+    the boundary). Raises ValueError when more than two slots share a pair.
+    """
+    ends = conn[:, np.asarray(local)].reshape(-1, 2).astype(np.int64)
+    n = int(conn.max()) + 1
+    key = ends.min(axis=1) * n + ends.max(axis=1)
+    uniq, first, inverse, count = np.unique(key, return_index=True, return_inverse=True,
+                                            return_counts=True)
+    if np.any(count > 2):
+        bad = int(uniq[np.argmax(count > 2)])
+        raise ValueError(f"edge {(bad // n, bad % n)} shared by more than two elements")
+    _, last = np.unique(key[::-1], return_index=True)
+    second = np.where(count == 2, len(key) - 1 - last, -1)
+    pairs = np.column_stack([uniq // n, uniq % n])
+    return pairs, inverse.reshape(conn.shape[0], len(local)), first, second
 
 
 def _refine_triangulation(
     points: np.ndarray, tris: np.ndarray, passive: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One red refinement sweep: each triangle becomes 4 congruent children."""
-    pairs, slots = _unique_edges(tris)
+    pairs, slots, _, _ = _unique_edges(tris)
     mids = len(points) + slots  # (E, 3): midpoint ids per local edge
     points2 = np.vstack([points, points[pairs].mean(axis=1)])
     v0, v1, v2 = tris.T
@@ -182,7 +197,7 @@ def _refine_triangulation(
 
 
 def _p2_connectivity(points: np.ndarray, tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    pairs, slots = _unique_edges(tris)
+    pairs, slots, _, _ = _unique_edges(tris)
     mids = len(points) + slots
     nodes = np.vstack([points, points[pairs].mean(axis=1)])
     return nodes, np.hstack([tris, mids])
@@ -215,31 +230,16 @@ def _passive_flags(spec: DomainSpec, family: str, nodes: np.ndarray, conn: np.nd
 
 def _build_mesh(family: str, nodes: np.ndarray, conn: np.ndarray,
                 passive: np.ndarray, spec: DomainSpec) -> Mesh:
-    n_el = conn.shape[0]
-    locals_ = _LOCAL_EDGES[family]
-    index: dict[tuple[int, int], int] = {}
-    enodes: list[tuple[int, int]] = []
-    emid: list[int] = []
-    eelems: list[list[int]] = []
-    for e in range(n_el):
-        row = conn[e]
-        for li, (a, b) in enumerate(locals_):
-            na, nb = int(row[a]), int(row[b])
-            key = (na, nb) if na < nb else (nb, na)
-            hit = index.get(key)
-            if hit is None:
-                index[key] = len(enodes)
-                enodes.append((na, nb))
-                emid.append(int(row[_P2_MID_SLOT[li]]) if family == "p2" else -1)
-                eelems.append([e, -1])
-            else:
-                if eelems[hit][1] != -1:
-                    raise ValueError(f"edge {key} shared by more than two elements")
-                eelems[hit][1] = e
-
-    edge_nodes = np.asarray(enodes, dtype=np.int64)
-    edge_mid = np.asarray(emid, dtype=np.int64)
-    edge_elems = np.asarray(eelems, dtype=np.int64)
+    local = _LOCAL_EDGES[family]
+    _, _, first, second = _unique_edges(conn, local)
+    # number edges by first appearance, oriented as in their first element
+    order = np.argsort(first)
+    first, second = first[order], second[order]
+    edge_nodes = conn[:, np.asarray(local)].reshape(-1, 2)[first].astype(np.int64)
+    mids = conn[:, _P2_MID_SLOT].ravel()[first] if family == "p2" else np.full(len(first), -1)
+    edge_mid = mids.astype(np.int64)
+    edge_elems = np.column_stack(
+        [first // len(local), np.where(second >= 0, second // len(local), -1)])
     delta = nodes[edge_nodes[:, 1]] - nodes[edge_nodes[:, 0]]
     edge_length = np.hypot(delta[:, 0], delta[:, 1])
     edge_kind = np.where(edge_elems[:, 1] < 0, NEUMANN, INTERIOR).astype(np.int8)
@@ -371,6 +371,27 @@ def boundary_node_ids(mesh: Mesh) -> np.ndarray:
     mids = mesh.edge_mid[boundary]
     ids.append(mids[mids >= 0])
     return np.unique(np.concatenate(ids))
+
+
+def edge_points(mesh: Mesh, edges: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Points at parameters t (q,) along the given edges, shape (m, q, 2)."""
+    a = mesh.nodes[mesh.edge_nodes[edges, 0]]
+    b = mesh.nodes[mesh.edge_nodes[edges, 1]]
+    return a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
+
+
+def edge_normals(mesh: Mesh, edges: np.ndarray, side: int = 0) -> np.ndarray:
+    """Unit normals on the given edges, outward from the side-th adjacent element."""
+    a = mesh.nodes[mesh.edge_nodes[edges, 0]]
+    b = mesh.nodes[mesh.edge_nodes[edges, 1]]
+    tang = b - a
+    normal = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    mid = 0.5 * (a + b)
+    elems = mesh.edge_elems[edges, side]
+    flip = np.einsum("mc,mc->m", normal, mid - mesh.centroids[elems]) < 0.0
+    normal[flip] *= -1.0
+    return normal
 
 
 def nearest_node(mesh: Mesh, x: float, y: float) -> int:

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from . import fem, mesh as meshmod
-from .solver import LoadCase, SolveResult, StiffnessAssembler
+from .solver import LoadCase, StiffnessAssembler, element_dof_matrix
 
 
 class BisectionError(RuntimeError):
@@ -103,21 +103,21 @@ def element_strain_energies(mesh: meshmod.Mesh, material: fem.Material,
                             U: np.ndarray) -> np.ndarray:
     """Per-element u_e^T K0_e u_e at unit density."""
     k0 = fem.element_stiffness_batch(mesh.family, mesh.nodes[mesh.conn], material)
-    conn = mesh.conn
-    u_e = np.empty((mesh.n_elements, 2 * conn.shape[1]))
-    u_e[:, 0::2] = U[2 * conn]
-    u_e[:, 1::2] = U[2 * conn + 1]
-    return np.einsum("ei,eij,ej->e", u_e, k0, u_e)
+    return fem.element_energies(k0, U[element_dof_matrix(mesh.conn)])
+
+
+def _penalized_compliance(x: np.ndarray, sed: np.ndarray, penal: float):
+    """Compliance and its density gradient from unit-density strain energies."""
+    compliance = float(((x ** penal) * sed).sum())
+    dc = -penal * x ** (penal - 1.0) * sed
+    return compliance, dc
 
 
 def compliance_and_sensitivity(mesh: meshmod.Mesh, densities, U: np.ndarray,
                                penal: float, material: fem.Material):
     """Compliance sum_e x^p u^T K0 u and its density gradient -p x^(p-1) u^T K0 u."""
     x = np.asarray(getattr(densities, "x", densities), dtype=float)
-    sed = element_strain_energies(mesh, material, U)
-    compliance = float(((x ** penal) * sed).sum())
-    dc = -penal * x ** (penal - 1.0) * sed
-    return compliance, dc
+    return _penalized_compliance(x, element_strain_energies(mesh, material, U), penal)
 
 
 def characteristic_size(mesh: meshmod.Mesh) -> float:
@@ -147,7 +147,7 @@ class SensitivityFilter:
         i = np.concatenate([pairs[:, 0], pairs[:, 1], np.arange(n_el)])
         j = np.concatenate([pairs[:, 1], pairs[:, 0], np.arange(n_el)])
         w = np.concatenate([weight, weight, np.full(n_el, radius)])
-        self.weights = sp.coo_matrix((w, (i, j)), shape=(n_el, n_el)).tocsr()
+        self.weights = sp.csr_matrix((w, (i, j)), shape=(n_el, n_el))
         self.row_sums = np.asarray(self.weights.sum(axis=1)).ravel()
 
     def apply(self, x: np.ndarray, dc: np.ndarray) -> np.ndarray:
@@ -219,8 +219,7 @@ def oc_update(x: np.ndarray, dc: np.ndarray, volumes: np.ndarray,
 
 
 def optimize(mesh: meshmod.Mesh, case: LoadCase, material: fem.Material,
-             config: SimpConfig, callback=None, solve_method: str = "direct",
-             log=None) -> OptimizeResult:
+             config: SimpConfig, callback=None, log=None) -> OptimizeResult:
     """Run the density update loop until convergence or max_iters.
 
     The convergence test runs after each update, so conv_tol = inf stops
@@ -241,10 +240,9 @@ def optimize(mesh: meshmod.Mesh, case: LoadCase, material: fem.Material,
         loop += 1
         started = time.perf_counter()
         x_old = x
-        result = assembler.solve(x, config.penal, method=solve_method)
-        sed = assembler.strain_energies(result.U)
-        compliance = float(((x ** config.penal) * sed).sum())
-        dc = -config.penal * x ** (config.penal - 1.0) * sed
+        result = assembler.solve(x, config.penal)
+        compliance, dc = _penalized_compliance(
+            x, assembler.strain_energies(result.U), config.penal)
         dc_filtered = filt.apply(x, dc)
         x = oc_update(x_old, dc_filtered, volumes, config, passive=field_.passive)
         rchange = float(np.abs(x - x_old).max() / x_old.max())

@@ -5,13 +5,14 @@ free degrees of freedom, solved with a sparse direct factorization (a
 diagonally preconditioned conjugate-gradient fallback is available), and
 expanded back.
 
-The optimizer's repeated solves go through StiffnessAssembler, which fixes
-the CSC pattern of the reduced matrix once per mesh together with the slot
-of every element-matrix entry in it; each assembly is then one weighted
-bincount into that pattern. SuperLU factors with the fill-reducing minimum
-degree ordering of K + K^T, which suits the symmetric stiffness pattern.
-Every solve is checked once against its own relative residual; a zero
-right-hand side is checked by solving a fixed probe instead.
+Every solve reduces K through StiffnessAssembler, which fixes the CSC
+pattern of the reduced matrix once per mesh together with the slot of every
+element-matrix entry in it; each assembly is one weighted bincount into that
+pattern. The full K is built only when GlobalSystem.K is read; prescribed
+values are lifted into the right-hand side element by element. SuperLU
+factors with the minimum degree ordering of K + K^T. Every solve is checked
+once against its own relative residual; a zero right-hand side is checked
+by solving a fixed probe instead.
 """
 
 from dataclasses import dataclass
@@ -57,12 +58,25 @@ def element_dof_matrix(conn: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GlobalSystem:
-    """Assembled stiffness, load vector and constrained dof list."""
+    """Stiffness K(x) = sum_e x_e^p K0_e of an assembler, and a load vector.
 
-    K: sp.csc_matrix
+    F is the system's own copy of the load vector; callers may replace it
+    and solve() uses the replacement. K is built only when read.
+    """
+
+    assembler: "StiffnessAssembler"
+    x: np.ndarray
+    penal: float
     F: np.ndarray
-    constrained_dofs: np.ndarray
-    ndof: int
+
+    @property
+    def K(self) -> sp.csc_matrix:
+        asm = self.assembler
+        n_el, w = asm.edofs.shape
+        rows = np.broadcast_to(asm.edofs[:, :, None], (n_el, w, w)).ravel()
+        cols = np.broadcast_to(asm.edofs[:, None, :], (n_el, w, w)).ravel()
+        data = asm.scaled_data(self.x, self.penal)
+        return sp.coo_matrix((data, (rows, cols)), shape=(asm.ndof, asm.ndof)).tocsc()
 
 
 @dataclass
@@ -75,16 +89,6 @@ class SolveResult:
 def constrained_dof_ids(case: LoadCase) -> np.ndarray:
     fixed = np.asarray(case.fixed_nodes, dtype=np.int64)
     return np.sort(np.concatenate([2 * fixed, 2 * fixed + 1]))
-
-
-def _edge_outward_normal(mesh: meshmod.Mesh, edge: int, elem: int) -> np.ndarray:
-    a, b = mesh.edge_nodes[edge]
-    tang = mesh.nodes[b] - mesh.nodes[a]
-    normal = np.array([tang[1], -tang[0]]) / np.hypot(tang[0], tang[1])
-    midpoint = 0.5 * (mesh.nodes[a] + mesh.nodes[b])
-    if np.dot(normal, midpoint - mesh.centroids[elem]) < 0.0:
-        normal = -normal
-    return normal
 
 
 def build_load_vector(mesh: meshmod.Mesh, case: LoadCase) -> np.ndarray:
@@ -108,22 +112,21 @@ def build_load_vector(mesh: meshmod.Mesh, case: LoadCase) -> np.ndarray:
         np.add.at(F, dofs[:, 0::2], contrib * body[0])
         np.add.at(F, dofs[:, 1::2], contrib * body[1])
 
-    if case.traction is not None:
+    edges = np.flatnonzero(mesh.edge_kind == meshmod.NEUMANN)
+    if case.traction is not None and len(edges):
         t, w = fem.edge_quadrature_3pt()
-        for edge in np.flatnonzero(mesh.edge_kind == meshmod.NEUMANN):
-            elem = int(mesh.edge_elems[edge, 0])
-            a, b = mesh.edge_nodes[edge]
-            pa, pb = mesh.nodes[a], mesh.nodes[b]
-            pts = pa[None, :] + t[:, None] * (pb - pa)[None, :]
-            normal = _edge_outward_normal(mesh, edge, elem)
-            g = np.asarray(case.traction(pts, normal), dtype=float)
-            coords = np.broadcast_to(mesh.nodes[mesh.conn[elem]], (len(t),) + mesh.nodes[mesh.conn[elem]].shape)
-            ref = fem.reference_coords(mesh.family, coords, pts)
-            values, _ = fem.shape_functions_at(mesh.family, ref)
-            weight = mesh.edge_length[edge] * w
-            fe = np.einsum("q,qk,qc->kc", weight, values, g)
-            np.add.at(F, 2 * mesh.conn[elem], fe[:, 0])
-            np.add.at(F, 2 * mesh.conn[elem] + 1, fe[:, 1])
+        pts = meshmod.edge_points(mesh, edges, t)
+        normals = meshmod.edge_normals(mesh, edges)
+        # the traction callable sees one edge at a time: points (q, 2), normal (2,)
+        g = np.array([case.traction(p, n) for p, n in zip(pts, normals)], dtype=float)
+        conn = mesh.conn[mesh.edge_elems[edges, 0]]
+        coords = np.repeat(mesh.nodes[conn], len(t), axis=0)
+        ref = fem.reference_coords(mesh.family, coords, pts.reshape(-1, 2))
+        values, _ = fem.shape_functions_at(mesh.family, ref)
+        values = values.reshape(len(edges), len(t), -1)
+        weight = mesh.edge_length[edges, None] * w[None, :]
+        fe = np.einsum("mq,mqk,mqc->mkc", weight, values, g)
+        np.add.at(F, element_dof_matrix(conn), fe.reshape(len(edges), -1))
     return F
 
 
@@ -216,12 +219,7 @@ class StiffnessAssembler:
         return (self.k0 * (x ** penal)[:, None, None]).ravel()
 
     def global_system(self, x: np.ndarray, penal: float) -> GlobalSystem:
-        data = self.scaled_data(x, penal)
-        n_el, w = self.edofs.shape
-        rows = np.broadcast_to(self.edofs[:, :, None], (n_el, w, w)).ravel()
-        cols = np.broadcast_to(self.edofs[:, None, :], (n_el, w, w)).ravel()
-        K = sp.coo_matrix((data, (rows, cols)), shape=(self.ndof, self.ndof))
-        return GlobalSystem(K.tocsc(), self.F.copy(), self.constrained, self.ndof)
+        return GlobalSystem(self, np.array(x, dtype=float), penal, self.F.copy())
 
     def reduced_matrix(self, x: np.ndarray, penal: float) -> sp.csc_matrix:
         nnz = len(self._indices)
@@ -230,17 +228,13 @@ class StiffnessAssembler:
         return sp.csc_matrix((data[:nnz], self._indices, self._indptr), shape=(n, n))
 
     def solve(self, x: np.ndarray, penal: float, method: str = "direct") -> SolveResult:
-        if len(self.free) == 0:
-            raise ValueError("all degrees of freedom are constrained")
-        K_ff = self.reduced_matrix(x, penal)
-        rhs = self.F[self.free]
-        u_f, residual_norm = _solve_reduced(K_ff, rhs, method)
-        return _expand_solution(u_f, residual_norm, self.free, self.ndof, self.F)
+        u_f, residual_norm = _solve_reduced(self.reduced_matrix(x, penal),
+                                            self.F[self.free], method)
+        return _expand_solution(self, u_f, residual_norm, self.F)
 
     def strain_energies(self, U: np.ndarray) -> np.ndarray:
         """Per-element u_e^T K0_e u_e at unit density."""
-        u_e = U[self.edofs]
-        return np.einsum("ei,eij,ej->e", u_e, self.k0, u_e)
+        return fem.element_energies(self.k0, U[self.edofs])
 
 
 def assemble(mesh: meshmod.Mesh, densities, penal: float,
@@ -254,23 +248,22 @@ def apply_dirichlet(system: GlobalSystem, prescribed: np.ndarray | None = None):
     """Reduce the system to free dofs by elimination.
 
     prescribed, when given, is a full-length vector whose values at the
-    constrained dofs lift into the right-hand side (zero otherwise).
+    constrained dofs lift into the right-hand side (zero otherwise). The
+    lift is taken element by element: each element adds x_e^p K0_e u_e, with
+    u zero off the constrained dofs, and the sum is kept on the free dofs.
     Returns (K_ff, rhs, free_dofs).
     """
-    cd = np.asarray(system.constrained_dofs, dtype=np.int64)
-    if len(cd) >= system.ndof:
-        raise ValueError("all degrees of freedom are constrained")
-    mask = np.ones(system.ndof, dtype=bool)
-    mask[cd] = False
-    free = np.flatnonzero(mask)
-    K = system.K.tocsr()
-    K_ff = K[free][:, free].tocsc()
-    rhs = system.F[free].astype(float).copy()
-    if prescribed is not None and len(cd) > 0:
-        u_c = np.asarray(prescribed, dtype=float)[cd]
-        if np.any(u_c != 0.0):
-            rhs -= K[free][:, cd] @ u_c
-    return K_ff, rhs, free
+    asm = system.assembler
+    rhs = np.asarray(system.F, dtype=float)[asm.free]
+    if prescribed is not None:
+        u_c = np.zeros(asm.ndof)
+        u_c[asm.constrained] = np.asarray(prescribed, dtype=float)[asm.constrained]
+        if np.any(u_c):
+            f_e = (system.x ** system.penal)[:, None] * np.einsum(
+                "eij,ej->ei", asm.k0, u_c[asm.edofs])
+            rhs -= np.bincount(asm.edofs.ravel(), weights=f_e.ravel(),
+                               minlength=asm.ndof)[asm.free]
+    return asm.reduced_matrix(system.x, system.penal), rhs, asm.free
 
 
 def _relative_residual(K: sp.csc_matrix, u: np.ndarray, b: np.ndarray) -> float:
@@ -284,6 +277,8 @@ def _solve_reduced(K_ff: sp.csc_matrix, rhs: np.ndarray, method: str):
     Residual comparisons are written as ``not resid <= tol`` so that a NaN
     residual fails them.
     """
+    if K_ff.shape[0] == 0:
+        raise ValueError("all degrees of freedom are constrained")
     if method == "direct":
         try:
             lu = spla.splu(K_ff, permc_spec="MMD_AT_PLUS_A")
@@ -321,14 +316,13 @@ def _solve_reduced(K_ff: sp.csc_matrix, rhs: np.ndarray, method: str):
     raise ValueError(f"unknown solve method {method!r}")
 
 
-def _expand_solution(u_f, residual_norm, free, ndof, F, prescribed=None,
-                     constrained=None) -> SolveResult:
-    U = np.zeros(ndof)
-    U[free] = u_f
-    if prescribed is not None and constrained is not None and len(constrained):
-        U[constrained] = np.asarray(prescribed, dtype=float)[constrained]
-    compliance = float(F @ U)
-    return SolveResult(U=U, residual_norm=residual_norm, compliance=compliance)
+def _expand_solution(asm: StiffnessAssembler, u_f, residual_norm, F,
+                     prescribed=None) -> SolveResult:
+    U = np.zeros(asm.ndof)
+    U[asm.free] = u_f
+    if prescribed is not None:
+        U[asm.constrained] = np.asarray(prescribed, dtype=float)[asm.constrained]
+    return SolveResult(U=U, residual_norm=residual_norm, compliance=float(F @ U))
 
 
 def solve(system: GlobalSystem, method: str = "direct",
@@ -340,9 +334,6 @@ def solve(system: GlobalSystem, method: str = "direct",
     rtol 1e-10. Raises SingularSystemError when the reduced system is
     singular or the residual check fails.
     """
-    K_ff, rhs, free = apply_dirichlet(system, prescribed)
+    K_ff, rhs, _ = apply_dirichlet(system, prescribed)
     u_f, residual_norm = _solve_reduced(K_ff, rhs, method)
-    return _expand_solution(
-        u_f, residual_norm, free, system.ndof, system.F,
-        prescribed=prescribed, constrained=system.constrained_dofs,
-    )
+    return _expand_solution(system.assembler, u_f, residual_norm, system.F, prescribed)

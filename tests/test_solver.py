@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topo2d.fem import Material, elasticity_matrix, element_stiffness
 from topo2d.mesh import DomainSpec, classify_boundary, generate_mesh
@@ -344,6 +346,7 @@ def test_assembler_reduced_solve_matches_oracle(family, tri):
     result = asm.solve(x, 3.0)
     reference = solve(assemble(mesh, x, 3.0, MAT, case))
     np.testing.assert_allclose(result.U, reference.U, rtol=1e-10, atol=1e-12)
+    np.testing.assert_array_equal(result.U, reference.U)
     assert abs(result.compliance - reference.compliance) < 1e-10 * reference.compliance
     assert result.residual_norm <= 1e-8
 
@@ -355,3 +358,30 @@ def test_assembler_reduced_solve_matches_oracle(family, tri):
                             point_loads=case.point_loads))
     with pytest.raises(SingularSystemError):
         floating.solve(x, 3.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(family=st.sampled_from(["q1", "p1", "p2"]),
+       tri=st.sampled_from(["two_split", "cross_split"]),
+       nx=st.integers(1, 4), ny=st.integers(1, 4), refine=st.integers(0, 1),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_unconstrained_stiffness_is_psd_with_rigid_null_space(family, tri, nx, ny,
+                                                              refine, seed):
+    mesh = generate_mesh(DomainSpec(float(nx), float(ny), nx, ny, triangulation=tri,
+                                    refine_level=refine), family)
+    x = np.random.default_rng(seed).uniform(0.2, 1.0, mesh.n_elements)
+    case = LoadCase(fixed_nodes=np.array([], dtype=int))
+    K = assemble(mesh, x, 3.0, MAT, case).K.toarray()
+    scale = np.abs(K).max()
+    np.testing.assert_allclose(K, K.T, rtol=0.0, atol=1e-13 * scale)
+    eigs = np.linalg.eigvalsh(0.5 * (K + K.T))
+    tol = 1e-10 * eigs[-1]
+    assert eigs[0] >= -tol
+    assert int((eigs <= tol).sum()) == 3
+    # the null space is spanned by the two translations and the rotation
+    rigid = np.zeros((2 * mesh.n_nodes, 3))
+    rigid[0::2, 0] = 1.0
+    rigid[1::2, 1] = 1.0
+    rigid[0::2, 2] = -mesh.nodes[:, 1]
+    rigid[1::2, 2] = mesh.nodes[:, 0]
+    assert np.abs(K @ rigid).max() <= 1e-10 * scale * max(nx, ny)
