@@ -9,8 +9,9 @@ in a parallel worker pool with isolated output directories.
 import argparse
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 from multiprocessing import Pool, cpu_count
+from typing import get_args
 
 import numpy as np
 
@@ -25,69 +26,51 @@ from .solver import LoadCase, SingularSystemError, assemble, solve
 _TRIANGULATION = {"two": "two_split", "cross": "cross_split"}
 _MATERIAL = {"lame": "lame", "plane-stress": "plane_stress", "plane_stress": "plane_stress"}
 
-_DEFAULTS = {
-    "elem": "q1",
-    "triangulation": "cross",
-    "refine": 0,
-    "penal": 3.0,
-    "rmin": 1.5,
-    "move": 0.2,
-    "conv_tol": 0.01,
-    "max_iters": 500,
-    "material": "lame",
-    "estimate_error": False,
-    "out": "out",
-    "bevel_ratio": 1.0 / 3.0,
-    "snapshot_every": 0,
-    "jobs": 0,
-    "quiet": False,
-}
 
-_TYPES = {
-    "problem": str,
-    "elem": str,
-    "nx": int,
-    "ny": int,
-    "grid": int,
-    "triangulation": str,
-    "refine": int,
-    "volfrac": float,
-    "penal": float,
-    "rmin": float,
-    "move": float,
-    "conv_tol": float,
-    "max_iters": int,
-    "material": str,
-    "estimate_error": bool,
-    "out": str,
-    "bevel_ratio": float,
-    "snapshot_every": int,
-    "jobs": int,
-    "quiet": bool,
-}
+def _option(default, help=None, choices=None):
+    """A RunConfig field; help and choices feed the parser and validation."""
+    return field(default=default, metadata={"help": help, "choices": choices})
 
 
 @dataclass
 class RunConfig:
-    problem: str
-    elem: str
-    nx: int
-    ny: int
-    grid: int | None
-    triangulation: str
-    refine: int
-    volfrac: float
-    penal: float
-    rmin: float
-    move: float
-    conv_tol: float
-    max_iters: int
-    material: str
-    estimate_error: bool
-    out: str
-    bevel_ratio: float
-    snapshot_every: int
-    quiet: bool
+    """One run's options: the single table that the parser, config files,
+    sweep lines, defaults and validation all read.
+
+    A field's type coerces its flag or file value; metadata holds the
+    allowed values and the help text. nx, ny and volfrac default to the
+    preset's when left None.
+    """
+
+    problem: str | None = _option(None, choices=tuple(sorted(PRESETS)))
+    elem: str = _option("q1", choices=("q1", "p1", "p2"))
+    nx: int | None = _option(None, "domain width in unit cells (and q1 grid)")
+    ny: int | None = _option(None, "domain height in unit cells (and q1 grid)")
+    grid: int | None = _option(
+        None, "triangle grid subdivisions per side (default: nx by ny)")
+    triangulation: str = _option("cross", choices=tuple(_TRIANGULATION))
+    refine: int = _option(0, "uniform refinement levels")
+    volfrac: float | None = _option(None)
+    penal: float = _option(3.0)
+    rmin: float = _option(1.5)
+    move: float = _option(0.2)
+    conv_tol: float = _option(0.01)
+    max_iters: int = _option(500)
+    material: str = _option("lame", choices=tuple(_MATERIAL))
+    estimate_error: bool = _option(False)
+    out: str = _option("out")
+    bevel_ratio: float = _option(
+        1.0 / 3.0, "right-edge height as a fraction of the left (bevel only)")
+    snapshot_every: int = _option(0, "write a density raster every N iterations")
+    quiet: bool = _option(False)
+
+
+_FIELDS = {f.name: f for f in fields(RunConfig)}
+
+
+def _option_type(f):
+    """The field's type without its `| None`."""
+    return next((t for t in get_args(f.type) if t is not type(None)), f.type)
 
 
 @dataclass
@@ -107,29 +90,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="2D compliance minimization benchmarks with optional "
         "a posteriori error estimation.",
     )
-    parser.add_argument("--problem", choices=sorted(PRESETS))
-    parser.add_argument("--elem", choices=("q1", "p1", "p2"))
-    parser.add_argument("--nx", type=int, help="domain width in unit cells (and q1 grid)")
-    parser.add_argument("--ny", type=int, help="domain height in unit cells (and q1 grid)")
-    parser.add_argument("--grid", type=int,
-                        help="triangle grid subdivisions per side (default: nx by ny)")
-    parser.add_argument("--triangulation", choices=("two", "cross"))
-    parser.add_argument("--refine", type=int, help="uniform refinement levels")
-    parser.add_argument("--volfrac", type=float)
-    parser.add_argument("--penal", type=float)
-    parser.add_argument("--rmin", type=float)
-    parser.add_argument("--move", type=float)
-    parser.add_argument("--conv-tol", type=float, dest="conv_tol")
-    parser.add_argument("--max-iters", type=int, dest="max_iters")
-    parser.add_argument("--material", choices=("lame", "plane-stress"))
-    parser.add_argument("--estimate-error", action="store_true", default=None,
-                        dest="estimate_error")
-    parser.add_argument("--out")
-    parser.add_argument("--bevel-ratio", type=float, dest="bevel_ratio",
-                        help="right-edge height as a fraction of the left (bevel only)")
-    parser.add_argument("--snapshot-every", type=int, dest="snapshot_every",
-                        help="write a density raster every N iterations")
-    parser.add_argument("--quiet", action="store_true", default=None)
+    for f in _FIELDS.values():
+        flag, kind = "--" + f.name.replace("_", "-"), _option_type(f)
+        if kind is bool:
+            parser.add_argument(flag, action="store_true", default=None,
+                                help=f.metadata["help"])
+        else:
+            parser.add_argument(flag, type=kind, help=f.metadata["help"],
+                                choices=f.metadata["choices"])
     parser.add_argument("--config", help="key=value file supplying defaults for flags")
     parser.add_argument("--sweep", help="file with one key=value run per line")
     parser.add_argument("--jobs", type=int, help="parallel workers for --sweep")
@@ -165,70 +133,41 @@ def parse_config_file(path) -> dict:
 
 
 def _coerce(key: str, value):
-    if key not in _TYPES:
+    if key not in _FIELDS:
         raise ValueError(f"unknown option {key!r}")
-    target = _TYPES[key]
-    if isinstance(value, str):
-        if target is bool:
-            lowered = value.lower()
-            if lowered in ("1", "true", "yes", "on"):
-                return True
-            if lowered in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(f"option {key!r}: cannot parse boolean from {value!r}")
-        return target(value)
-    return value
+    target = _option_type(_FIELDS[key])
+    if target is bool and isinstance(value, str):
+        lowered = value.lower()
+        if lowered in ("1", "true", "yes", "on"):
+            return True
+        if lowered in ("0", "false", "no", "off"):
+            return False
+        raise ValueError(f"option {key!r}: cannot parse boolean from {value!r}")
+    return target(value)
 
 
 def resolve_config(flags: dict, file_values: dict | None = None) -> RunConfig:
     """Merge flags over config-file entries over preset defaults."""
-    merged = dict(_DEFAULTS)
+    merged = {}
     for key, value in (file_values or {}).items():
         merged[key] = _coerce(key, value)
     for key, value in flags.items():
-        if value is not None and key in _TYPES:
+        if value is not None and key in _FIELDS:
             merged[key] = _coerce(key, value)
 
-    problem = merged.get("problem")
-    if problem not in PRESETS:
-        raise ValueError(
-            f"--problem must be one of {sorted(PRESETS)} (got {problem!r})"
-        )
-    preset = PRESETS[problem]
+    for name, f in _FIELDS.items():
+        choices = f.metadata["choices"]
+        value = merged.get(name, f.default)
+        if choices is not None and value not in choices:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} must be one of {list(choices)} (got {value!r})")
+    preset = PRESETS[merged["problem"]]
     for key, default in (("nx", int(round(preset.width))),
                          ("ny", int(round(preset.height))),
                          ("volfrac", preset.volfrac)):
         if merged.get(key) is None:
             merged[key] = default
-
-    if merged["elem"] not in ("q1", "p1", "p2"):
-        raise ValueError(f"--elem must be q1, p1 or p2 (got {merged['elem']!r})")
-    if merged["triangulation"] not in _TRIANGULATION:
-        raise ValueError("--triangulation must be 'two' or 'cross'")
-    if merged["material"] not in _MATERIAL:
-        raise ValueError("--material must be 'lame' or 'plane-stress'")
-
-    return RunConfig(
-        problem=problem,
-        elem=merged["elem"],
-        nx=int(merged["nx"]),
-        ny=int(merged["ny"]),
-        grid=int(merged["grid"]) if merged.get("grid") is not None else None,
-        triangulation=merged["triangulation"],
-        refine=int(merged["refine"]),
-        volfrac=float(merged["volfrac"]),
-        penal=float(merged["penal"]),
-        rmin=float(merged["rmin"]),
-        move=float(merged["move"]),
-        conv_tol=float(merged["conv_tol"]),
-        max_iters=int(merged["max_iters"]),
-        material=merged["material"],
-        estimate_error=bool(merged["estimate_error"]),
-        out=merged["out"],
-        bevel_ratio=float(merged["bevel_ratio"]),
-        snapshot_every=int(merged["snapshot_every"]),
-        quiet=bool(merged["quiet"]),
-    )
+    return RunConfig(**merged)
 
 
 def prepare(cfg: RunConfig):
@@ -357,7 +296,7 @@ def _sweep_worker(task):
 def run_sweep(sweep_path, flags: dict, jobs: int) -> list:
     """Run every line of a sweep file in a parallel worker pool."""
     configs = []
-    base_out = flags.get("out") or _DEFAULTS["out"]
+    base_out = flags.get("out") or RunConfig.out
     for values in _assignment_lines(sweep_path, split=True):
         cfg = resolve_config(flags, values)
         index = len(configs)

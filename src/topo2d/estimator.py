@@ -18,12 +18,12 @@ discrete stress divergence is constant per element and edge traces are
 integrated exactly with a 3-point Gauss rule.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fem, mesh as meshmod
+from .export import write_columns
 
 
 @dataclass
@@ -218,28 +218,11 @@ def estimate(mesh: meshmod.Mesh, U: np.ndarray, material: fem.Material,
 
 def write_error_report(breakdown: ErrorBreakdown, mesh: meshmod.Mesh, path) -> None:
     """Per-element indicator table with totals and the global estimate."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["element_id", "h_K", "bulk", "jump_half_sum", "neumann", "eta_sq"])
-        for e in range(mesh.n_elements):
-            writer.writerow(
-                [
-                    e,
-                    repr(float(mesh.diameters[e])),
-                    repr(float(breakdown.bulk[e])),
-                    repr(float(breakdown.jump_by_element[e])),
-                    repr(float(breakdown.neumann_by_element[e])),
-                    repr(float(breakdown.local[e])),
-                ]
-            )
-        writer.writerow(
-            [
-                "TOTAL",
-                "",
-                repr(breakdown.bulk_total),
-                repr(breakdown.jump_total),
-                repr(breakdown.neumann_total),
-                repr(float(breakdown.local.sum())),
-            ]
-        )
-        writer.writerow(["GLOBAL_ETA", "", "", "", "", repr(breakdown.eta_global)])
+    write_columns(
+        path, ["element_id", "h_K", "bulk", "jump_half_sum", "neumann", "eta_sq"],
+        [np.arange(mesh.n_elements), mesh.diameters, breakdown.bulk,
+         breakdown.jump_by_element, breakdown.neumann_by_element, breakdown.local],
+        trailer=[["TOTAL", "", repr(breakdown.bulk_total), repr(breakdown.jump_total),
+                  repr(breakdown.neumann_total), repr(float(breakdown.local.sum()))],
+                 ["GLOBAL_ETA", "", "", "", "", repr(breakdown.eta_global)]],
+    )

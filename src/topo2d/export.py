@@ -11,8 +11,6 @@ import os
 import numpy as np
 from scipy.spatial import cKDTree
 
-from . import mesh as meshmod
-from .estimator import ErrorBreakdown
 from .mesh import Mesh, write_vtk
 
 DEFAULT_PIXELS_PER_UNIT = 8
@@ -101,19 +99,24 @@ def density_raster(mesh: Mesh, x: np.ndarray, pixels_per_unit: int | None = None
     return image[::-1]
 
 
-def write_density_csv(mesh: Mesh, x: np.ndarray, path) -> None:
+def write_columns(path, header: list[str], columns, trailer=()) -> None:
+    """CSV table from per-column arrays: one repr per cell, then trailer rows.
+
+    Rows stream out without building the table. Numeric cells never need
+    quoting, so the bytes equal those of a csv.writer row loop over the
+    same reprs, CRLF line endings included.
+    """
+    cells = [map(repr, np.asarray(col).tolist()) for col in columns]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["element_id", "centroid_x", "centroid_y", "density"])
-        for e in range(mesh.n_elements):
-            writer.writerow(
-                [
-                    e,
-                    repr(float(mesh.centroids[e, 0])),
-                    repr(float(mesh.centroids[e, 1])),
-                    repr(float(x[e])),
-                ]
-            )
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
+        fh.writelines(",".join(row) + "\r\n" for row in trailer)
+
+
+def write_density_csv(mesh: Mesh, x: np.ndarray, path) -> None:
+    write_columns(path, ["element_id", "centroid_x", "centroid_y", "density"],
+                  [np.arange(mesh.n_elements), mesh.centroids[:, 0],
+                   mesh.centroids[:, 1], np.asarray(x, dtype=float)])
 
 
 def export_density(mesh: Mesh, x: np.ndarray, out_dir,
@@ -135,8 +138,9 @@ def export_density(mesh: Mesh, x: np.ndarray, out_dir,
 
 
 def report_row(family: str, n_elements: int, compliance: float, iterations: int,
-               breakdown: ErrorBreakdown | None = None) -> list[str]:
-    """One benchmark summary row; error columns stay empty without an estimate."""
+               breakdown=None) -> list[str]:
+    """One benchmark summary row; the five error columns come from an
+    estimator.ErrorBreakdown and stay empty without one."""
     row = [family.upper(), str(int(n_elements)), repr(float(compliance)), str(int(iterations))]
     if breakdown is None:
         row.extend([""] * 5)

@@ -331,12 +331,7 @@ def refine_uniform(mesh: Mesh) -> Mesh:
 
 
 def _resolve_fixed_nodes(mesh: Mesh, case) -> np.ndarray:
-    if hasattr(case, "fixed_nodes"):
-        fixed = case.fixed_nodes
-    elif callable(case):
-        fixed = case
-    else:
-        fixed = case
+    fixed = getattr(case, "fixed_nodes", case)
     if callable(fixed):
         mask = np.asarray(
             [bool(fixed(x, y)) for x, y in mesh.nodes], dtype=bool

@@ -7,15 +7,15 @@ criteria rule under a volume constraint, and stop once the largest density
 change falls below the convergence tolerance.
 """
 
-import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from . import fem, mesh as meshmod
+from .export import write_columns
 from .solver import LoadCase, StiffnessAssembler, element_dof_matrix
 
 
@@ -244,10 +244,10 @@ def optimize(mesh: meshmod.Mesh, case: LoadCase, material: fem.Material,
         compliance, dc = _penalized_compliance(
             x, assembler.strain_energies(result.U), config.penal)
         dc_filtered = filt.apply(x, dc)
-        x = oc_update(x_old, dc_filtered, volumes, config, passive=field_.passive)
+        x = field_.x = oc_update(x_old, dc_filtered, volumes, config,
+                                 passive=field_.passive)
         rchange = float(np.abs(x - x_old).max() / x_old.max())
-        active = ~field_.passive
-        volume = float((x[active] * volumes[active]).sum() / volumes[active].sum())
+        volume = field_.volume_fraction()
         history.append(
             IterationRecord(loop, float(compliance), float(rchange), volume,
                             time.perf_counter() - started)
@@ -262,19 +262,11 @@ def optimize(mesh: meshmod.Mesh, case: LoadCase, material: fem.Material,
         if rchange <= config.conv_tol or loop >= config.max_iters:
             break
 
-    field_ = DensityField(x=x, passive=field_.passive, volumes=volumes,
-                          x_min=config.x_min)
     return OptimizeResult(field=field_, history=history,
                           compliance=history[-1].compliance, iterations=loop)
 
 
 def write_history_csv(history, path) -> None:
     """Per-iteration log: loop, compliance, rchange, volume, wall_time."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["loop", "compliance", "rchange", "volume", "wall_time"])
-        for rec in history:
-            writer.writerow(
-                [rec.loop, repr(rec.compliance), repr(rec.rchange),
-                 repr(rec.volume), repr(rec.wall_time)]
-            )
+    names = [f.name for f in fields(IterationRecord)]
+    write_columns(path, names, [[getattr(rec, name) for rec in history] for name in names])

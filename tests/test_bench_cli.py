@@ -2,14 +2,18 @@
 
 import csv
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topo2d import export
-from topo2d.cli import (RunConfig, build_parser, main, parse_config_file,
-                        prepare, resolve_config, run, run_sweep)
-from topo2d.estimator import estimate
+from topo2d.cli import (RunConfig, _config_lines, build_parser, estimate_solid,
+                        main, parse_config_file, prepare, resolve_config, run,
+                        run_sweep)
+from topo2d.estimator import estimate, write_error_report
 from topo2d.export import (REPORT_COLUMNS, append_report, density_raster,
                            density_to_gray, report_row, write_density_csv,
                            write_pgm)
@@ -71,6 +75,43 @@ def test_density_csv_roundtrip(tmp_path):
         assert int(row[0]) == e
         assert float(row[1]) == mesh.centroids[e, 0]
         assert float(row[3]) == x[e]
+
+
+def _csv_writer_rows(path, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        for row in rows:
+            writer.writerow(row)
+
+
+def test_column_writer_matches_csv_writer_rows(tmp_path):
+    cfg = resolve_config({"problem": "cantilever", "nx": 6, "ny": 4})
+    mesh, case, material, _ = prepare(cfg)
+    bd = estimate_solid(mesh, case, material)
+    x = np.linspace(1e-3, 1.0, mesh.n_elements) ** 3
+
+    write_density_csv(mesh, x, tmp_path / "density.csv")
+    _csv_writer_rows(tmp_path / "density_ref.csv", [
+        ["element_id", "centroid_x", "centroid_y", "density"],
+        *([e, repr(float(mesh.centroids[e, 0])), repr(float(mesh.centroids[e, 1])),
+           repr(float(x[e]))] for e in range(mesh.n_elements)),
+    ])
+    assert ((tmp_path / "density.csv").read_bytes()
+            == (tmp_path / "density_ref.csv").read_bytes())
+
+    write_error_report(bd, mesh, tmp_path / "error_report.csv")
+    _csv_writer_rows(tmp_path / "error_report_ref.csv", [
+        ["element_id", "h_K", "bulk", "jump_half_sum", "neumann", "eta_sq"],
+        *([e, repr(float(mesh.diameters[e])), repr(float(bd.bulk[e])),
+           repr(float(bd.jump_by_element[e])), repr(float(bd.neumann_by_element[e])),
+           repr(float(bd.local[e]))] for e in range(mesh.n_elements)),
+        ["TOTAL", "", repr(bd.bulk_total), repr(bd.jump_total),
+         repr(bd.neumann_total), repr(float(bd.local.sum()))],
+        ["GLOBAL_ETA", "", "", "", "", repr(bd.eta_global)],
+    ])
+    report = (tmp_path / "error_report.csv").read_bytes()
+    assert report == (tmp_path / "error_report_ref.csv").read_bytes()
+    assert report.count(b"\r\n") == mesh.n_elements + 3
 
 
 def test_report_append_and_schema_guard(tmp_path):
@@ -255,7 +296,7 @@ def test_main_snapshots(tmp_path):
     assert snaps == ["iter_0002.pgm", "iter_0004.pgm"]
 
 
-def test_main_exit_codes(tmp_path):
+def test_main_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--problem", "arch"])
     assert exc.value.code == 2
@@ -268,6 +309,19 @@ def test_main_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["--problem", "cantilever", "--triangulation", "fan"])
     assert exc.value.code == 2
+
+    # jobs is a flag only: a config file or sweep line naming it is refused
+    cfg_file = tmp_path / "jobs.cfg"
+    cfg_file.write_text("nx=6\nny=4\nmax-iters=1\njobs=2\n")
+    sweep = tmp_path / "jobs_sweep.txt"
+    sweep.write_text("nx=6 ny=4 max-iters=1 jobs=2\n")
+    for source in (["--config", str(cfg_file)], ["--sweep", str(sweep)]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["--problem", "cantilever", "--quiet",
+                  "--out", str(tmp_path / "jobs"), *source])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "error: unknown option 'jobs'\n"
 
     # non-finite or infeasible SIMP values are rejected before any solve
     for flag, value in (("--rmin", "nan"), ("--volfrac", "1e-9"),
@@ -330,3 +384,32 @@ def test_run_returns_report(tmp_path):
 def test_build_parser_defaults_are_none():
     args = build_parser().parse_args(["--problem", "cantilever"])
     assert args.nx is None and args.volfrac is None and args.quiet is None
+
+
+def _option_values():
+    """Valid values for every RunConfig field; choices come from the table."""
+    ranges = {
+        "nx": st.integers(1, 64), "ny": st.integers(1, 64),
+        "grid": st.none() | st.integers(1, 64), "refine": st.integers(0, 3),
+        "volfrac": st.floats(0.01, 1.0), "penal": st.floats(1.0, 5.0),
+        "rmin": st.floats(0.5, 4.0), "move": st.floats(0.01, 1.0),
+        "conv_tol": st.floats(0.0, 0.1), "max_iters": st.integers(1, 1000),
+        "estimate_error": st.booleans(),
+        "out": st.text("abcxyz0189_-./", min_size=1, max_size=12),
+        "bevel_ratio": st.floats(0.1, 1.0), "snapshot_every": st.integers(0, 10),
+        "quiet": st.booleans(),
+    }
+    for f in fields(RunConfig):
+        if f.metadata["choices"] is not None:
+            ranges[f.name] = st.sampled_from(f.metadata["choices"])
+    assert set(ranges) == {f.name for f in fields(RunConfig)}
+    return st.builds(RunConfig, **ranges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=_option_values())
+def test_config_round_trip(tmp_path_factory, cfg):
+    path = tmp_path_factory.getbasetemp() / "round_trip.cfg"
+    path.write_text(_config_lines(cfg))
+    values = parse_config_file(path)
+    assert resolve_config({"quiet": cfg.quiet}, values) == cfg
