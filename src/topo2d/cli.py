@@ -1,9 +1,9 @@
 """Command-line front end for the benchmark problems.
 
-Options resolve in precedence order: explicit flags > config file entries >
-preset defaults. Config files are flat key=value text mirroring the flags;
-a sweep file holds one such assignment list per line and its runs execute
-in a parallel worker pool with isolated output directories.
+Options resolve in precedence order: explicit flags > sweep line > config
+file > preset defaults. Config files are flat key=value text mirroring the
+flags; a sweep file holds one such assignment list per line and its runs
+execute in a parallel worker pool with isolated output directories.
 """
 
 import argparse
@@ -161,6 +161,8 @@ def resolve_config(flags: dict, file_values: dict | None = None) -> RunConfig:
         if choices is not None and value not in choices:
             flag = "--" + name.replace("_", "-")
             raise ValueError(f"{flag} must be one of {list(choices)} (got {value!r})")
+    if merged.get("snapshot_every", 0) < 0:
+        raise ValueError(f"--snapshot-every must be at least 0 (got {merged['snapshot_every']})")
     preset = PRESETS[merged["problem"]]
     for key, default in (("nx", int(round(preset.width))),
                          ("ny", int(round(preset.height))),
@@ -293,12 +295,13 @@ def _sweep_worker(task):
     return index, report
 
 
-def run_sweep(sweep_path, flags: dict, jobs: int) -> list:
-    """Run every line of a sweep file in a parallel worker pool."""
+def run_sweep(sweep_path, flags: dict, jobs: int, file_values: dict | None = None) -> list:
+    """Run every sweep line, layered over the config-file entries, in a worker pool."""
     configs = []
-    base_out = flags.get("out") or RunConfig.out
+    file_values = file_values or {}
+    base_out = flags.get("out") or file_values.get("out", RunConfig.out)
     for values in _assignment_lines(sweep_path, split=True):
-        cfg = resolve_config(flags, values)
+        cfg = resolve_config(flags, {**file_values, **values})
         index = len(configs)
         cfg.out = os.path.join(base_out, f"run_{index:03d}")
         cfg.quiet = True
@@ -345,7 +348,8 @@ def main(argv=None) -> int:
     try:
         file_values = parse_config_file(config_path) if config_path else None
         if sweep_path:
-            run_sweep(sweep_path, {k: v for k, v in flags.items() if v is not None}, jobs)
+            run_sweep(sweep_path, {k: v for k, v in flags.items() if v is not None}, jobs,
+                      file_values)
             return 0
         cfg = resolve_config(flags, file_values)
         run(cfg)

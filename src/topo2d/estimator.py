@@ -48,21 +48,14 @@ class ErrorBreakdown:
     eta_global: float
 
 
-def _elastic_moduli(material: fem.Material) -> tuple[float, float]:
-    amat = fem.elasticity_matrix(material)
-    return amat[0, 1], amat[2, 2]  # (lam_effective, mu)
-
-
 def _stress_at(mesh: meshmod.Mesh, material: fem.Material, U: np.ndarray,
-               elems: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Voigt stress of the discrete solution at physical points.
+               elems: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Voigt stress of the discrete solution at reference points.
 
-    elems (m,) selects the element evaluating each of points (m, 2).
+    elems (m,) selects the element evaluating each of ref (m, 2).
     """
     conn = mesh.conn[elems]
-    coords = mesh.nodes[conn]
-    ref = fem.reference_coords(mesh.family, coords, points)
-    _, dphys, _ = fem.gradients_physical(mesh.family, coords, ref)
+    _, dphys, _ = fem.gradients_physical(mesh.family, mesh.nodes[conn], ref)
     ux = U[2 * conn]
     uy = U[2 * conn + 1]
     exx = np.einsum("mk,mk->m", dphys[:, :, 0], ux)
@@ -96,7 +89,7 @@ def stress_divergence(mesh: meshmod.Mesh, material: fem.Material,
     hux = np.einsum("ek,ekab->eab", ux, hphys)
     huy = np.einsum("ek,ekab->eab", uy, hphys)
 
-    lam, mu = _elastic_moduli(material)
+    lam, mu = material.lam, material.mu
     lam2 = lam + 2.0 * mu
     div = np.empty((n_el, 2))
     div[:, 0] = lam2 * hux[:, 0, 0] + (lam + mu) * huy[:, 0, 1] + mu * hux[:, 1, 1]
@@ -118,21 +111,22 @@ def bulk_residual(mesh: meshmod.Mesh, material: fem.Material, U: np.ndarray,
 
 
 def _edge_tractions(mesh: meshmod.Mesh, material: fem.Material, U: np.ndarray,
-                    edges: np.ndarray, side: int, pts: np.ndarray,
-                    normal: np.ndarray) -> np.ndarray:
-    """sigma(u_h) . n on the edge points pts (ne, q, 2), traced from one side.
+                    edges: np.ndarray, side: int,
+                    t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sigma(u_h) . n at parameters t along the edges, traced from one side.
 
-    normal (ne, 2) holds the unit normals pointing out of the side-th
-    adjacent element. Returns tractions (ne, q, 2).
+    Returns tractions (ne, q, 2) and the unit normals n (ne, 2) pointing out
+    of the side-th adjacent element.
     """
-    n_e, n_q = pts.shape[:2]
+    ref, normal = meshmod.edge_trace(mesh, edges, t, side)
+    n_e, n_q = ref.shape[:2]
     elems = np.repeat(mesh.edge_elems[edges, side], n_q)
-    sigma = _stress_at(mesh, material, U, elems, pts.reshape(-1, 2))
+    sigma = _stress_at(mesh, material, U, elems, ref.reshape(-1, 2))
     sigma = sigma.reshape(n_e, n_q, 3)
     nx, ny = normal[:, 0:1], normal[:, 1:2]
     tx = sigma[:, :, 0] * nx + sigma[:, :, 2] * ny
     ty = sigma[:, :, 2] * nx + sigma[:, :, 1] * ny
-    return np.stack([tx, ty], axis=2)
+    return np.stack([tx, ty], axis=2), normal
 
 
 def jump_residual(mesh: meshmod.Mesh, material: fem.Material,
@@ -149,11 +143,8 @@ def jump_residual(mesh: meshmod.Mesh, material: fem.Material,
     if np.any(mesh.edge_elems[interior, 1] < 0):
         raise RuntimeError("interior edge missing its second adjacent element")
     t, w = fem.edge_quadrature_3pt()
-    pts = meshmod.edge_points(mesh, interior, t)
-    plus = _edge_tractions(mesh, material, U, interior, 0, pts,
-                           meshmod.edge_normals(mesh, interior, 0))
-    minus = _edge_tractions(mesh, material, U, interior, 1, pts,
-                            meshmod.edge_normals(mesh, interior, 1))
+    plus, _ = _edge_tractions(mesh, material, U, interior, 0, t)
+    minus, _ = _edge_tractions(mesh, material, U, interior, 1, t)
     jump = plus + minus
     sq = np.einsum("eqc,eqc->eq", jump, jump)
     values[interior] = mesh.edge_length[interior] ** 2 * (sq @ w)
@@ -168,10 +159,10 @@ def neumann_residual(mesh: meshmod.Mesh, material: fem.Material, U: np.ndarray,
     if len(neumann) == 0:
         return values
     t, w = fem.edge_quadrature_3pt()
-    pts = meshmod.edge_points(mesh, neumann, t)
-    normals = meshmod.edge_normals(mesh, neumann)
-    residual = -_edge_tractions(mesh, material, U, neumann, 0, pts, normals)
+    flux, normals = _edge_tractions(mesh, material, U, neumann, 0, t)
+    residual = -flux
     if traction is not None:
+        pts = meshmod.edge_points(mesh, neumann, t)
         residual += np.array([traction(p, n) for p, n in zip(pts, normals)], dtype=float)
     sq = np.einsum("eqc,eqc->eq", residual, residual)
     values[neumann] = mesh.edge_length[neumann] ** 2 * (sq @ w)

@@ -1,8 +1,8 @@
 """Output writers: density rasters (binary PGM), CSV tables, VTK files.
 
 Rasters map density to grayscale as 255 * (1 - x), so solid material is
-black. Quad grids raster one pixel per cell by default; triangulations are
-sampled by point-in-element lookup at 8 pixels per unit length.
+black. Quad grids raster one pixel per cell; triangulations are sampled
+by point-in-element lookup at 8 pixels per unit length.
 """
 
 import csv
@@ -13,7 +13,7 @@ from scipy.spatial import cKDTree
 
 from .mesh import Mesh, write_vtk
 
-DEFAULT_PIXELS_PER_UNIT = 8
+PIXELS_PER_UNIT = 8
 
 REPORT_COLUMNS = [
     "element_type",
@@ -42,15 +42,12 @@ def write_pgm(image: np.ndarray, path) -> None:
         fh.write(image.tobytes())
 
 
-def _locate_triangles(mesh: Mesh, points: np.ndarray, k: int = 8) -> np.ndarray:
-    """Containing element per query point via nearest-centroid candidates."""
+def _locate_triangles(mesh: Mesh, points: np.ndarray) -> np.ndarray:
+    """Containing element per query point via the 8 nearest-centroid candidates."""
     verts = mesh.nodes[mesh.conn[:, :3]]
     tree = cKDTree(mesh.centroids)
-    k = min(k, mesh.n_elements)
-    _, candidates = tree.query(points, k=k)
-    candidates = np.atleast_2d(candidates)
-    if candidates.shape[0] != len(points):
-        candidates = candidates.reshape(len(points), -1)
+    # a list of ranks keeps the result 2-D even when only one element exists
+    _, candidates = tree.query(points, k=list(range(1, min(8, mesh.n_elements) + 1)))
     found = candidates[:, 0].copy()
     todo = np.ones(len(points), dtype=bool)
     tol = 1e-9
@@ -70,31 +67,21 @@ def _locate_triangles(mesh: Mesh, points: np.ndarray, k: int = 8) -> np.ndarray:
     return found
 
 
-def density_raster(mesh: Mesh, x: np.ndarray, pixels_per_unit: int | None = None) -> np.ndarray:
+def density_raster(mesh: Mesh, x: np.ndarray) -> np.ndarray:
     """Grayscale image of a density field, top row at the top of the domain."""
     x = np.asarray(x, dtype=float)
     spec = mesh.spec
-    if mesh.family == "q1" and pixels_per_unit is None:
+    if mesh.family == "q1":
         factor = 2 ** spec.refine_level
-        nx, ny = spec.nx * factor, spec.ny * factor
-        grid = x.reshape(ny, nx)
+        grid = x.reshape(spec.ny * factor, spec.nx * factor)
         return density_to_gray(grid[::-1])
 
-    ppu = DEFAULT_PIXELS_PER_UNIT if pixels_per_unit is None else int(pixels_per_unit)
-    width_px = max(1, int(round(spec.width * ppu)))
-    height_px = max(1, int(round(spec.height * ppu)))
+    width_px = max(1, int(round(spec.width * PIXELS_PER_UNIT)))
+    height_px = max(1, int(round(spec.height * PIXELS_PER_UNIT)))
     px = (np.arange(width_px) + 0.5) * spec.width / width_px
     py = (np.arange(height_px) + 0.5) * spec.height / height_px
     gx, gy = np.meshgrid(px, py)
-    points = np.column_stack([gx.ravel(), gy.ravel()])
-    if mesh.family == "q1":
-        factor = 2 ** spec.refine_level
-        nx, ny = spec.nx * factor, spec.ny * factor
-        ci = np.minimum((points[:, 0] / spec.width * nx).astype(int), nx - 1)
-        cj = np.minimum((points[:, 1] / spec.height * ny).astype(int), ny - 1)
-        elems = cj * nx + ci
-    else:
-        elems = _locate_triangles(mesh, points)
+    elems = _locate_triangles(mesh, np.column_stack([gx.ravel(), gy.ravel()]))
     image = density_to_gray(x[elems]).reshape(height_px, width_px)
     return image[::-1]
 
@@ -119,22 +106,15 @@ def write_density_csv(mesh: Mesh, x: np.ndarray, path) -> None:
                    mesh.centroids[:, 1], np.asarray(x, dtype=float)])
 
 
-def export_density(mesh: Mesh, x: np.ndarray, out_dir,
-                   basename: str = "density",
-                   pixels_per_unit: int | None = None) -> list[str]:
-    """Write the PGM raster, per-element CSV and VTK file; returns the paths."""
+def export_density(mesh: Mesh, x: np.ndarray, out_dir) -> list[str]:
+    """Write density.pgm, density.csv and density.vtk; returns the paths."""
     os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    pgm = os.path.join(out_dir, f"{basename}.pgm")
-    write_pgm(density_raster(mesh, x, pixels_per_unit), pgm)
-    paths.append(pgm)
-    csv_path = os.path.join(out_dir, f"{basename}.csv")
+    pgm, csv_path, vtk_path = (os.path.join(out_dir, f"density.{ext}")
+                               for ext in ("pgm", "csv", "vtk"))
+    write_pgm(density_raster(mesh, x), pgm)
     write_density_csv(mesh, x, csv_path)
-    paths.append(csv_path)
-    vtk_path = os.path.join(out_dir, f"{basename}.vtk")
     write_vtk(mesh, vtk_path, cell_data={"density": x})
-    paths.append(vtk_path)
-    return paths
+    return [pgm, csv_path, vtk_path]
 
 
 def report_row(family: str, n_elements: int, compliance: float, iterations: int,

@@ -20,8 +20,21 @@ ELEMENT_NODES = {"q1": 4, "p1": 3, "p2": 6}
 #: measure of the reference element (biunit square / unit triangle)
 REF_MEASURE = {"q1": 4.0, "p1": 0.5, "p2": 0.5}
 
-# corner signs of the biunit square, counterclockwise from (-1, -1)
-_Q1_SIGNS = np.array([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
+_TRI_CORNERS = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+
+#: vertices of the reference element, counterclockwise, by family
+REF_CORNERS = {
+    "q1": np.array([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]),
+    "p1": _TRI_CORNERS,
+    "p2": _TRI_CORNERS,
+}
+
+#: vertex pairs of the local edges, counterclockwise; p2 midsides follow this order
+LOCAL_EDGES = {
+    "q1": ((0, 1), (1, 2), (2, 3), (3, 0)),
+    "p1": ((0, 1), (1, 2), (2, 0)),
+    "p2": ((0, 1), (1, 2), (2, 0)),
+}
 
 
 def check_family(family: str) -> str:
@@ -183,7 +196,7 @@ def shape_functions_at(family: str, points) -> tuple[np.ndarray, np.ndarray]:
         )
         return values, np.stack([gx, gy], axis=2)
 
-    sx, sy = _Q1_SIGNS[:, 0], _Q1_SIGNS[:, 1]
+    sx, sy = REF_CORNERS["q1"].T
     values = 0.25 * (1.0 + np.outer(x, sx)) * (1.0 + np.outer(y, sy))
     gx = 0.25 * sx[None, :] * (1.0 + np.outer(y, sy))
     gy = 0.25 * sy[None, :] * (1.0 + np.outer(x, sx))
@@ -215,7 +228,7 @@ def shape_function_hessians(family: str) -> np.ndarray:
         h[5] = [[0.0, -4.0], [-4.0, -8.0]]
         return h
     h = np.zeros((4, 2, 2))
-    for i, (sx, sy) in enumerate(_Q1_SIGNS):
+    for i, (sx, sy) in enumerate(REF_CORNERS["q1"]):
         h[i, 0, 1] = h[i, 1, 0] = 0.25 * sx * sy
     return h
 

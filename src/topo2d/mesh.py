@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import ELEMENT_NODES, check_family
+from .fem import ELEMENT_NODES, LOCAL_EDGES, REF_CORNERS, check_family
 
 # edge kinds
 INTERIOR = 0
@@ -24,12 +24,6 @@ NEUMANN = 2
 
 SHAPES = ("rectangle", "trapezoid")
 TRIANGULATIONS = ("two_split", "cross_split")
-
-_LOCAL_EDGES = {
-    "q1": ((0, 1), (1, 2), (2, 3), (3, 0)),
-    "p1": ((0, 1), (1, 2), (2, 0)),
-    "p2": ((0, 1), (1, 2), (2, 0)),
-}
 
 # midside connectivity slot for each local edge of a p2 triangle
 _P2_MID_SLOT = (3, 4, 5)
@@ -157,7 +151,7 @@ def _cross_split(points: np.ndarray, nx: int, ny: int) -> tuple[np.ndarray, np.n
     return np.vstack([points, centers]), tris
 
 
-def _unique_edges(conn: np.ndarray, local=_LOCAL_EDGES["p1"]):
+def _unique_edges(conn: np.ndarray, local=LOCAL_EDGES["p1"]):
     """Group the local edges of every element by their vertex pair.
 
     Slot s = e * len(local) + i stands for local edge i of element e.
@@ -179,9 +173,7 @@ def _unique_edges(conn: np.ndarray, local=_LOCAL_EDGES["p1"]):
     return pairs, inverse.reshape(conn.shape[0], len(local)), first, second
 
 
-def _refine_triangulation(
-    points: np.ndarray, tris: np.ndarray, passive: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _refine_triangulation(points: np.ndarray, tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One red refinement sweep: each triangle becomes 4 congruent children."""
     pairs, slots, _, _ = _unique_edges(tris)
     mids = len(points) + slots  # (E, 3): midpoint ids per local edge
@@ -193,7 +185,7 @@ def _refine_triangulation(
     children[1::4] = np.column_stack([m01, v1, m12])
     children[2::4] = np.column_stack([m20, m12, v2])
     children[3::4] = np.column_stack([m01, m12, m20])
-    return points2, children, np.repeat(passive, 4)
+    return points2, children
 
 
 def _p2_connectivity(points: np.ndarray, tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -230,7 +222,7 @@ def _passive_flags(spec: DomainSpec, family: str, nodes: np.ndarray, conn: np.nd
 
 def _build_mesh(family: str, nodes: np.ndarray, conn: np.ndarray,
                 passive: np.ndarray, spec: DomainSpec) -> Mesh:
-    local = _LOCAL_EDGES[family]
+    local = LOCAL_EDGES[family]
     _, _, first, second = _unique_edges(conn, local)
     # number edges by first appearance, oriented as in their first element
     order = np.argsort(first)
@@ -293,9 +285,8 @@ def generate_mesh(spec: DomainSpec, family: str) -> Mesh:
             tris = _two_split(spec.nx, spec.ny)
         else:
             points, tris = _cross_split(points, spec.nx, spec.ny)
-        passive = np.zeros(len(tris), dtype=bool)
         for _ in range(spec.refine_level):
-            points, tris, passive = _refine_triangulation(points, tris, passive)
+            points, tris = _refine_triangulation(points, tris)
         if family == "p2":
             nodes, conn = _p2_connectivity(points, tris)
         else:
@@ -321,13 +312,13 @@ def refine_uniform(mesh: Mesh) -> Mesh:
         tris = mesh.conn[:, :3]
     else:
         points, tris = mesh.nodes, mesh.conn
-    points, tris, passive = _refine_triangulation(points, tris, mesh.passive)
+    points, tris = _refine_triangulation(points, tris)
     if mesh.family == "p2":
         nodes, conn = _p2_connectivity(points, tris)
     else:
         nodes, conn = points, tris
     spec = dataclasses.replace(mesh.spec, refine_level=mesh.spec.refine_level + 1)
-    return _build_mesh(mesh.family, nodes, conn, passive, spec)
+    return _build_mesh(mesh.family, nodes, conn, np.repeat(mesh.passive, 4), spec)
 
 
 def _resolve_fixed_nodes(mesh: Mesh, case) -> np.ndarray:
@@ -375,18 +366,38 @@ def edge_points(mesh: Mesh, edges: np.ndarray, t: np.ndarray) -> np.ndarray:
     return a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
 
 
-def edge_normals(mesh: Mesh, edges: np.ndarray, side: int = 0) -> np.ndarray:
-    """Unit normals on the given edges, outward from the side-th adjacent element."""
-    a = mesh.nodes[mesh.edge_nodes[edges, 0]]
-    b = mesh.nodes[mesh.edge_nodes[edges, 1]]
-    tang = b - a
+def edge_trace(mesh: Mesh, edges: np.ndarray, t: np.ndarray,
+               side: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The edges as seen from their side-th adjacent element.
+
+    Returns the reference coordinates (m, q, 2) of edge_points(mesh, edges, t)
+    in that element and the unit normals (m, 2) pointing out of it. Elements
+    are counterclockwise, so the clockwise-rotated tangent of a local edge
+    points outward; an element running the edge against its stored
+    orientation sees it at 1 - t with the normal negated. Raises ValueError
+    when an edge is not an edge of the element listed for it.
+    """
+    local = np.asarray(LOCAL_EDGES[mesh.family])
+    elems = mesh.edge_elems[edges, side]
+    ends = mesh.conn[elems][:, local]
+    want = mesh.edge_nodes[edges][:, None, :]
+    forward = np.all(ends == want, axis=2)
+    match = forward | np.all(ends == want[..., ::-1], axis=2)
+    found = match.any(axis=1)
+    if not found.all():
+        bad = int(np.argmin(found))
+        raise ValueError(f"edge {np.asarray(edges)[bad]} is not an edge of element {elems[bad]}")
+    slot = np.argmax(match, axis=1)
+    reverse = ~forward[np.arange(len(slot)), slot]
+    corners = REF_CORNERS[mesh.family][local[slot]]
+    s = np.where(reverse[:, None], 1.0 - t, t)[..., None]
+    ref = corners[:, None, 0] + s * (corners[:, None, 1] - corners[:, None, 0])
+
+    tang = mesh.nodes[mesh.edge_nodes[edges, 1]] - mesh.nodes[mesh.edge_nodes[edges, 0]]
     normal = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
     normal /= np.linalg.norm(normal, axis=1, keepdims=True)
-    mid = 0.5 * (a + b)
-    elems = mesh.edge_elems[edges, side]
-    flip = np.einsum("mc,mc->m", normal, mid - mesh.centroids[elems]) < 0.0
-    normal[flip] *= -1.0
-    return normal
+    normal[reverse] *= -1.0
+    return ref, normal
 
 
 def nearest_node(mesh: Mesh, x: float, y: float) -> int:

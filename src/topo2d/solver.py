@@ -116,13 +116,11 @@ def build_load_vector(mesh: meshmod.Mesh, case: LoadCase) -> np.ndarray:
     if case.traction is not None and len(edges):
         t, w = fem.edge_quadrature_3pt()
         pts = meshmod.edge_points(mesh, edges, t)
-        normals = meshmod.edge_normals(mesh, edges)
+        ref, normals = meshmod.edge_trace(mesh, edges, t)
         # the traction callable sees one edge at a time: points (q, 2), normal (2,)
         g = np.array([case.traction(p, n) for p, n in zip(pts, normals)], dtype=float)
         conn = mesh.conn[mesh.edge_elems[edges, 0]]
-        coords = np.repeat(mesh.nodes[conn], len(t), axis=0)
-        ref = fem.reference_coords(mesh.family, coords, pts.reshape(-1, 2))
-        values, _ = fem.shape_functions_at(mesh.family, ref)
+        values, _ = fem.shape_functions_at(mesh.family, ref.reshape(-1, 2))
         values = values.reshape(len(edges), len(t), -1)
         weight = mesh.edge_length[edges, None] * w[None, :]
         fe = np.einsum("mq,mqk,mqc->mkc", weight, values, g)

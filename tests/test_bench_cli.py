@@ -323,9 +323,9 @@ def test_main_exit_codes(tmp_path, capsys):
         assert exc.value.code == 2
         assert capsys.readouterr().err == "error: unknown option 'jobs'\n"
 
-    # non-finite or infeasible SIMP values are rejected before any solve
+    # non-finite, infeasible or negative values are rejected before any solve
     for flag, value in (("--rmin", "nan"), ("--volfrac", "1e-9"),
-                        ("--penal", "nan")):
+                        ("--penal", "nan"), ("--snapshot-every", "-2")):
         with pytest.raises(SystemExit) as exc:
             main(["--problem", "cantilever", "--nx", "6", "--ny", "4",
                   "--quiet", "--out", str(tmp_path / "bad"), flag, value])
@@ -367,6 +367,22 @@ def test_sweep_runs_and_combined_report(tmp_path, capsys):
     assert rows[2][1] == "64"  # 4x4 cross-split cells
     captured = capsys.readouterr()
     assert "run_000" in captured.out and "run_001" in captured.out
+
+
+def test_sweep_lines_layer_over_config_file(tmp_path):
+    # precedence: flag > sweep line > config file > preset
+    out = tmp_path / "out"
+    cfg_file = tmp_path / "base.cfg"
+    cfg_file.write_text(f"max_iters=1\nnx=6\nny=4\nvolfrac=0.45\nout={out}\n")
+    sweep = tmp_path / "sweep.txt"
+    sweep.write_text("elem=q1\nelem=q1 volfrac=0.35\n")
+    rc = main(["--problem", "cantilever", "--config", str(cfg_file),
+               "--sweep", str(sweep), "--jobs", "1", "--ny", "5"])
+    assert rc == 0
+    configs = [parse_config_file(out / f"run_{i:03d}" / "config.txt") for i in (0, 1)]
+    for values in configs:
+        assert (values["max_iters"], values["nx"], values["ny"]) == ("1", "6", "5")
+    assert [values["volfrac"] for values in configs] == ["0.45", "0.35"]
 
 
 def test_run_returns_report(tmp_path):

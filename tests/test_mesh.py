@@ -1,11 +1,15 @@
 """Mesh generation, edge topology, refinement, classification, VTK output."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from topo2d.fem import edge_quadrature_3pt, reference_coords, shape_functions_at
 from topo2d.mesh import (DIRICHLET, INTERIOR, NEUMANN, DomainSpec,
-                         boundary_node_ids, classify_boundary, generate_mesh,
-                         nearest_node, refine_uniform, write_vtk)
+                         boundary_node_ids, classify_boundary, edge_points,
+                         edge_trace, generate_mesh, nearest_node,
+                         refine_uniform, write_vtk)
 from topo2d.presets import build_load_case, preset_domain_spec
 from topo2d.solver import LoadCase
 
@@ -107,6 +111,48 @@ def test_edge_topology_against_oracle(family, tri):
             assert mesh.edge_elems[e, 1] == -1
         a, b = mesh.nodes[mesh.edge_nodes[e, 0]], mesh.nodes[mesh.edge_nodes[e, 1]]
         assert abs(mesh.edge_length[e] - np.linalg.norm(b - a)) < 1e-12
+
+
+def flip_edge_orientation(mesh):
+    """The same mesh with every edge stored reversed and its two sides swapped."""
+    elems = mesh.edge_elems.copy()
+    interior = elems[:, 1] >= 0
+    elems[interior] = elems[interior][:, ::-1]
+    return dataclasses.replace(mesh, edge_nodes=mesh.edge_nodes[:, ::-1].copy(),
+                               edge_elems=elems)
+
+
+@pytest.mark.parametrize("refine", [0, 1])
+@pytest.mark.parametrize("tri", ["two_split", "cross_split"])
+@pytest.mark.parametrize("family", ["q1", "p1", "p2"])
+def test_edge_trace_against_inverse_map(family, tri, refine):
+    base = generate_mesh(
+        DomainSpec(3.0, 1.5, 3, 2, triangulation=tri, refine_level=refine), family)
+    t, _ = edge_quadrature_3pt()
+    for mesh in (base, flip_edge_orientation(base)):
+        for side in (0, 1):
+            edges = np.flatnonzero(mesh.edge_elems[:, side] >= 0)
+            ref, normal = edge_trace(mesh, edges, t, side)
+            pts = edge_points(mesh, edges, t)
+            elems = mesh.edge_elems[edges, side]
+            coords = mesh.nodes[mesh.conn[elems]]
+            values, _ = shape_functions_at(family, ref.reshape(-1, 2))
+            mapped = np.einsum("mqk,mkc->mqc",
+                               values.reshape(len(edges), len(t), -1), coords)
+            np.testing.assert_allclose(mapped, pts, rtol=0, atol=1e-12)
+            oracle = reference_coords(family, np.repeat(coords, len(t), axis=0),
+                                      pts.reshape(-1, 2))
+            np.testing.assert_allclose(ref.reshape(-1, 2), oracle, rtol=0, atol=1e-10)
+
+            np.testing.assert_allclose(np.linalg.norm(normal, axis=1), 1.0, atol=1e-12)
+            tangent = pts[:, -1] - pts[:, 0]
+            assert np.abs(np.einsum("mc,mc->m", normal, tangent)).max() < 1e-12
+            mid = pts[:, 1]  # t[1] = 0.5
+            assert np.all(np.einsum("mc,mc->m", normal, mid - mesh.centroids[elems]) > 0.0)
+
+    wrong = dataclasses.replace(base, edge_elems=np.roll(base.edge_elems, 1, axis=0))
+    with pytest.raises(ValueError, match="is not an edge of element"):
+        edge_trace(wrong, np.arange(base.n_edges), t)
 
 
 def test_trapezoid_passive_q1_matches_centroid_oracle():
