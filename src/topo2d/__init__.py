@@ -15,8 +15,8 @@ from .optimizer import (DensityField, IterationRecord, OptimizeResult,
                         SensitivityFilter, SimpConfig, oc_update, optimize,
                         sensitivity_filter)
 from .presets import build_load_case, preset_domain_spec
-from .solver import (LoadCase, SingularSystemError, SolveResult, assemble,
-                     solve)
+from .solver import (LoadCase, SingularSystemError, SolveError, SolveResult,
+                     assemble, solve)
 
 __version__ = "0.1.0"
 
@@ -36,6 +36,7 @@ __all__ = [
     "LoadCase",
     "SolveResult",
     "SingularSystemError",
+    "SolveError",
     "assemble",
     "solve",
     "ErrorBreakdown",

@@ -19,9 +19,9 @@ from . import export
 from .estimator import ErrorBreakdown, estimate, write_error_report
 from .fem import Material
 from .mesh import Mesh, classify_boundary, generate_mesh
-from .optimizer import BisectionError, SimpConfig, optimize, write_history_csv
+from .optimizer import SimpConfig, optimize, write_history_csv
 from .presets import PRESETS, build_load_case, preset_domain_spec
-from .solver import LoadCase, SingularSystemError, assemble, solve
+from .solver import LoadCase, SolveError, assemble, solve
 
 _TRIANGULATION = {"two": "two_split", "cross": "cross_split"}
 _MATERIAL = {"lame": "lame", "plane-stress": "plane_stress", "plane_stress": "plane_stress"}
@@ -301,6 +301,10 @@ def run_sweep(sweep_path, flags: dict, jobs: int, file_values: dict | None = Non
     file_values = file_values or {}
     base_out = flags.get("out") or file_values.get("out", RunConfig.out)
     for values in _assignment_lines(sweep_path, split=True):
+        for key in ("out", "quiet"):
+            if key in values:
+                raise ValueError(f"option {key!r} is set per run by --sweep; "
+                                 "remove it from the sweep line")
         cfg = resolve_config(flags, {**file_values, **values})
         index = len(configs)
         cfg.out = os.path.join(base_out, f"run_{index:03d}")
@@ -356,7 +360,7 @@ def main(argv=None) -> int:
         return 0
     except (ValueError, FileNotFoundError) as exc:
         parser.exit(2, f"error: {exc}\n")
-    except (SingularSystemError, BisectionError) as exc:
+    except SolveError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
     return 0

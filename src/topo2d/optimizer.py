@@ -16,10 +16,10 @@ from scipy.spatial import cKDTree
 
 from . import fem, mesh as meshmod
 from .export import write_columns
-from .solver import LoadCase, StiffnessAssembler, element_dof_matrix
+from .solver import LoadCase, SolveError, StiffnessAssembler, element_dof_matrix
 
 
-class BisectionError(RuntimeError):
+class BisectionError(SolveError):
     """Raised when the volume-constraint bisection fails to converge."""
 
 

@@ -9,10 +9,13 @@ Every solve reduces K through StiffnessAssembler, which fixes the CSC
 pattern of the reduced matrix once per mesh together with the slot of every
 element-matrix entry in it; each assembly is one weighted bincount into that
 pattern. The full K is built only when GlobalSystem.K is read; prescribed
-values are lifted into the right-hand side element by element. SuperLU
-factors with the minimum degree ordering of K + K^T. Every solve is checked
-once against its own relative residual; a zero right-hand side is checked
-by solving a fixed probe instead.
+values are lifted into the right-hand side element by element. An
+assembler's first SuperLU factorization orders by minimum degree on K + K^T;
+its second solve renumbers the reduced dofs in that order, so later
+factorizations skip the ordering. From then on asm.free, and the free_dofs
+of apply_dirichlet, follow that order. Every solve is checked once against
+its own relative residual; a zero right-hand side is checked by solving a
+fixed probe instead.
 """
 
 from dataclasses import dataclass
@@ -27,7 +30,11 @@ from . import fem, mesh as meshmod
 RESIDUAL_TOL = 1e-8
 
 
-class SingularSystemError(RuntimeError):
+class SolveError(RuntimeError):
+    """A numerical failure of the linear solve or of the density update."""
+
+
+class SingularSystemError(SolveError):
     """Raised when the reduced system is singular or a solve fails its checks."""
 
 
@@ -167,6 +174,9 @@ class StiffnessAssembler:
         free_mask[self.constrained] = False
         self.free = np.flatnonzero(free_mask)
         self._build_reduced_pattern(free_mask[0::2])
+        # column order of the first factorization, until _fold_order applies it
+        self._perm_c = None
+        self._permc_spec = "MMD_AT_PLUS_A"
 
     def _build_reduced_pattern(self, free_node: np.ndarray) -> None:
         # Supports pin whole nodes, so the J-th free node owns reduced dofs 2J
@@ -213,6 +223,33 @@ class StiffnessAssembler:
                                 shape=(2 * n_free, 2 * n_free))
         self._indices, self._indptr = pattern.indices, pattern.indptr
 
+    def _fold_order(self) -> None:
+        """Renumber the reduced dofs so that reduced dof i becomes perm_c[i].
+
+        Matrices returned earlier share the pattern arrays, so those are
+        replaced; _slot is remapped in place, and temporaries are few, to
+        keep the run's peak RSS.
+        """
+        if self._perm_c is None:
+            return
+        perm, self._perm_c = self._perm_c, None
+        n, nnz = len(self.free), len(self._indices)
+        cols = np.repeat(perm, np.diff(self._indptr))
+        rows = perm[self._indices]
+        # perm_c is int32, so the column-major sort key is formed in int64
+        order = np.argsort(cols * np.int64(n) + rows)
+        moved = np.empty(nnz + 2, dtype=np.int64)
+        moved[order] = np.arange(nnz)
+        # entries on a pinned node keep the two slots past the end
+        moved[nnz:] = (nnz, nnz + 1)
+        for lo in range(0, len(self._slot), 1 << 16):
+            self._slot[lo:lo + (1 << 16)] = moved[self._slot[lo:lo + (1 << 16)]]
+        self.free = self.free[np.argsort(perm)]
+        self._indices = rows[order].astype(self._indices.dtype, copy=False)
+        self._indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n)))
+                                      ).astype(self._indptr.dtype)
+        self._permc_spec = "NATURAL"
+
     def scaled_data(self, x: np.ndarray, penal: float) -> np.ndarray:
         return (self.k0 * (x ** penal)[:, None, None]).ravel()
 
@@ -226,8 +263,9 @@ class StiffnessAssembler:
         return sp.csc_matrix((data[:nnz], self._indices, self._indptr), shape=(n, n))
 
     def solve(self, x: np.ndarray, penal: float, method: str = "direct") -> SolveResult:
+        self._fold_order()
         u_f, residual_norm = _solve_reduced(self.reduced_matrix(x, penal),
-                                            self.F[self.free], method)
+                                            self.F[self.free], method, self)
         return _expand_solution(self, u_f, residual_norm, self.F)
 
     def strain_energies(self, U: np.ndarray) -> np.ndarray:
@@ -249,9 +287,10 @@ def apply_dirichlet(system: GlobalSystem, prescribed: np.ndarray | None = None):
     constrained dofs lift into the right-hand side (zero otherwise). The
     lift is taken element by element: each element adds x_e^p K0_e u_e, with
     u zero off the constrained dofs, and the sum is kept on the free dofs.
-    Returns (K_ff, rhs, free_dofs).
+    Returns (K_ff, rhs, free_dofs), in the assembler's current dof order.
     """
     asm = system.assembler
+    asm._fold_order()
     rhs = np.asarray(system.F, dtype=float)[asm.free]
     if prescribed is not None:
         u_c = np.zeros(asm.ndof)
@@ -269,8 +308,8 @@ def _relative_residual(K: sp.csc_matrix, u: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(K @ u - b) / (norm_b if norm_b > 0.0 else 1.0))
 
 
-def _solve_reduced(K_ff: sp.csc_matrix, rhs: np.ndarray, method: str):
-    """Solve K_ff u = rhs; returns (u, relative residual) once the checks pass.
+def _solve_reduced(K_ff: sp.csc_matrix, rhs: np.ndarray, method: str, asm):
+    """Solve asm's K_ff u = rhs; returns (u, relative residual) once the checks pass.
 
     Residual comparisons are written as ``not resid <= tol`` so that a NaN
     residual fails them.
@@ -279,9 +318,11 @@ def _solve_reduced(K_ff: sp.csc_matrix, rhs: np.ndarray, method: str):
         raise ValueError("all degrees of freedom are constrained")
     if method == "direct":
         try:
-            lu = spla.splu(K_ff, permc_spec="MMD_AT_PLUS_A")
+            lu = spla.splu(K_ff, permc_spec=asm._permc_spec)
         except RuntimeError as exc:
             raise SingularSystemError(f"direct factorization failed: {exc}") from exc
+        if asm._permc_spec != "NATURAL":
+            asm._perm_c = lu.perm_c.copy()
         # a zero rhs would mask a (numerically) singular factorization, so
         # probe the factor with a fixed right-hand side in that case
         zero_rhs = not np.any(rhs)
@@ -333,5 +374,5 @@ def solve(system: GlobalSystem, method: str = "direct",
     singular or the residual check fails.
     """
     K_ff, rhs, _ = apply_dirichlet(system, prescribed)
-    u_f, residual_norm = _solve_reduced(K_ff, rhs, method)
+    u_f, residual_norm = _solve_reduced(K_ff, rhs, method, system.assembler)
     return _expand_solution(system.assembler, u_f, residual_norm, system.F, prescribed)

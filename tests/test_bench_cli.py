@@ -323,6 +323,21 @@ def test_main_exit_codes(tmp_path, capsys):
         assert exc.value.code == 2
         assert capsys.readouterr().err == "error: unknown option 'jobs'\n"
 
+    # a sweep sets each run's out and quiet itself, so a sweep line naming
+    # either is refused before any run writes
+    for key, value in (("out", str(tmp_path / "line_out")), ("quiet", "false")):
+        sweep = tmp_path / f"{key}_sweep.txt"
+        sweep.write_text(f"nx=6 ny=4 max-iters=1 {key}={value}\n")
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["--problem", "cantilever", "--sweep", str(sweep),
+                  "--out", str(tmp_path / "sweep_base")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"'{key}'" in err
+        assert not (tmp_path / "sweep_base").exists()
+        assert not (tmp_path / "line_out").exists()
+
     # non-finite, infeasible or negative values are rejected before any solve
     for flag, value in (("--rmin", "nan"), ("--volfrac", "1e-9"),
                         ("--penal", "nan"), ("--snapshot-every", "-2")):

@@ -4,6 +4,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from topo2d.fem import Material
 from topo2d.mesh import DomainSpec, classify_boundary, generate_mesh
@@ -137,6 +139,29 @@ def test_oc_passive_elements_pinned():
     active = ~passive
     target = cfg.volfrac * volumes[active].sum()
     assert abs((xn[active] * volumes[active]).sum() - target) <= 1e-6 * volumes[active].sum()
+
+
+@settings(max_examples=100, deadline=None)
+@given(cells=st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(-1e3, -1e-3)),
+                                st.floats(1e-2, 1e2), st.booleans()),
+                      min_size=1, max_size=40),
+       volfrac=st.floats(SimpConfig(volfrac=1.0).x_min, 1.0))
+def test_oc_update_meets_volume_target(cells, volfrac):
+    cfg = SimpConfig(volfrac=volfrac)
+    dc, volumes, passive = (np.array(column) for column in zip(*cells))
+    active = ~passive
+    assume(active.any())
+    x = np.where(passive, cfg.x_min, volfrac)
+    v0 = volumes[active].sum()
+    # elements with dc = 0 fall to their lower move limit, so the target
+    # must stay reachable by the others
+    reach = np.where(dc < 0.0, np.minimum(1.0, x + cfg.move),
+                     np.maximum(cfg.x_min, x - cfg.move))
+    assume((reach * volumes)[active].sum() >= volfrac * v0)
+    xn = oc_update(x, dc, volumes, cfg, passive=passive)
+    assert abs((xn * volumes)[active].sum() - volfrac * v0) <= 1e-6 * v0
+    assert np.all(xn[passive] == cfg.x_min)
+    assert np.all((xn >= cfg.x_min) & (xn <= 1.0))
 
 
 def test_oc_rejects_positive_sensitivities():

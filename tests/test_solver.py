@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -358,6 +359,59 @@ def test_assembler_reduced_solve_matches_oracle(family, tri):
                             point_loads=case.point_loads))
     with pytest.raises(SingularSystemError):
         floating.solve(x, 3.0)
+
+
+@pytest.mark.parametrize("family,tri", [("q1", "two_split"), ("p1", "cross_split"),
+                                        ("p2", "two_split")])
+def test_assembler_reuses_first_factorization_order(family, tri, monkeypatch):
+    # the second solve folds the first factorization's column order into the
+    # pattern, and later factorizations run in natural order
+    factors = []
+    splu = spla.splu
+
+    def recording_splu(K, **kwargs):
+        lu = splu(K, **kwargs)
+        factors.append((kwargs.get("permc_spec"), lu.nnz))
+        return lu
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    mesh = generate_mesh(DomainSpec(4.0, 3.0, 8, 6, triangulation=tri), family)
+    case = cantilever_case(mesh)
+    free = np.setdiff1d(np.arange(2 * mesh.n_nodes), constrained_dof_ids(case))
+    rng = np.random.default_rng(7)
+    asm = StiffnessAssembler(mesh, MAT, case)
+    for step in range(3):
+        x = rng.uniform(0.05, 1.0, mesh.n_elements)
+        result = asm.solve(x, 3.0)
+        reordered = factors[-1]
+        reference = StiffnessAssembler(mesh, MAT, case).solve(x, 3.0)
+        fresh = factors[-1]
+        scale = np.abs(reference.U).max()
+        assert np.abs(result.U - reference.U).max() <= 1e-12 * scale
+        assert abs(result.compliance - reference.compliance) <= 1e-12 * reference.compliance
+        assert fresh[0] == "MMD_AT_PLUS_A"
+        assert reordered[0] == ("MMD_AT_PLUS_A" if step == 0 else "NATURAL")
+        assert reordered[1] == fresh[1]
+        np.testing.assert_array_equal(np.sort(asm.free), free)
+        if step == 0:
+            # shares the pattern arrays that the next solve renumbers
+            earlier = asm.reduced_matrix(x, 3.0)
+            snapshot = (earlier.toarray(), earlier.indices.copy(), earlier.indptr.copy())
+    np.testing.assert_array_equal(earlier.toarray(), snapshot[0])
+    np.testing.assert_array_equal(earlier.indices, snapshot[1])
+    np.testing.assert_array_equal(earlier.indptr, snapshot[2])
+    assert not np.array_equal(asm.free, free)
+
+    # the zero-load probe and the singularity check run on the natural path too
+    unloaded = StiffnessAssembler(mesh, MAT, LoadCase(fixed_nodes=case.fixed_nodes))
+    for _ in range(2):
+        np.testing.assert_array_equal(unloaded.solve(x, 3.0).U, 0.0)
+    assert factors[-1][0] == "NATURAL"
+    floating = StiffnessAssembler(mesh, MAT, LoadCase(fixed_nodes=np.array([], dtype=int)))
+    for _ in range(2):
+        with pytest.raises(SingularSystemError):
+            floating.solve(x, 3.0)
+    assert factors[-1][0] == "NATURAL"
 
 
 @settings(max_examples=30, deadline=None)
