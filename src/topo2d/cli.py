@@ -27,9 +27,10 @@ _TRIANGULATION = {"two": "two_split", "cross": "cross_split"}
 _MATERIAL = {"lame": "lame", "plane-stress": "plane_stress", "plane_stress": "plane_stress"}
 
 
-def _option(default, help=None, choices=None):
-    """A RunConfig field; help and choices feed the parser and validation."""
-    return field(default=default, metadata={"help": help, "choices": choices})
+def _option(default, help=None, choices=None, minimum=None):
+    """A RunConfig field; help, choices and minimum feed the parser and validation."""
+    return field(default=default,
+                 metadata={"help": help, "choices": choices, "minimum": minimum})
 
 
 @dataclass
@@ -38,30 +39,30 @@ class RunConfig:
     sweep lines, defaults and validation all read.
 
     A field's type coerces its flag or file value; metadata holds the
-    allowed values and the help text. nx, ny and volfrac default to the
-    preset's when left None.
+    allowed values or the lower bound, and the help text. nx, ny and
+    volfrac default to the preset's when left None.
     """
 
     problem: str | None = _option(None, choices=tuple(sorted(PRESETS)))
     elem: str = _option("q1", choices=("q1", "p1", "p2"))
-    nx: int | None = _option(None, "domain width in unit cells (and q1 grid)")
-    ny: int | None = _option(None, "domain height in unit cells (and q1 grid)")
+    nx: int | None = _option(None, "domain width in unit cells (and q1 grid)", minimum=1)
+    ny: int | None = _option(None, "domain height in unit cells (and q1 grid)", minimum=1)
     grid: int | None = _option(
-        None, "triangle grid subdivisions per side (default: nx by ny)")
+        None, "triangle grid subdivisions per side (default: nx by ny)", minimum=1)
     triangulation: str = _option("cross", choices=tuple(_TRIANGULATION))
-    refine: int = _option(0, "uniform refinement levels")
+    refine: int = _option(0, "uniform refinement levels", minimum=0)
     volfrac: float | None = _option(None)
     penal: float = _option(3.0)
     rmin: float = _option(1.5)
     move: float = _option(0.2)
     conv_tol: float = _option(0.01)
-    max_iters: int = _option(500)
+    max_iters: int = _option(500, minimum=1)
     material: str = _option("lame", choices=tuple(_MATERIAL))
     estimate_error: bool = _option(False)
     out: str = _option("out")
     bevel_ratio: float = _option(
         1.0 / 3.0, "right-edge height as a fraction of the left (bevel only)")
-    snapshot_every: int = _option(0, "write a density raster every N iterations")
+    snapshot_every: int = _option(0, "write a density raster every N iterations", minimum=0)
     quiet: bool = _option(False)
 
 
@@ -156,13 +157,13 @@ def resolve_config(flags: dict, file_values: dict | None = None) -> RunConfig:
             merged[key] = _coerce(key, value)
 
     for name, f in _FIELDS.items():
-        choices = f.metadata["choices"]
+        choices, minimum = f.metadata["choices"], f.metadata["minimum"]
         value = merged.get(name, f.default)
+        flag = "--" + name.replace("_", "-")
         if choices is not None and value not in choices:
-            flag = "--" + name.replace("_", "-")
             raise ValueError(f"{flag} must be one of {list(choices)} (got {value!r})")
-    if merged.get("snapshot_every", 0) < 0:
-        raise ValueError(f"--snapshot-every must be at least 0 (got {merged['snapshot_every']})")
+        if minimum is not None and value is not None and value < minimum:
+            raise ValueError(f"{flag} must be at least {minimum} (got {value})")
     preset = PRESETS[merged["problem"]]
     for key, default in (("nx", int(round(preset.width))),
                          ("ny", int(round(preset.height))),

@@ -9,9 +9,8 @@ import csv
 import os
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .mesh import Mesh, write_vtk
+from .mesh import Mesh, write_rows, write_vtk
 
 PIXELS_PER_UNIT = 8
 
@@ -43,28 +42,49 @@ def write_pgm(image: np.ndarray, path) -> None:
 
 
 def _locate_triangles(mesh: Mesh, points: np.ndarray) -> np.ndarray:
-    """Containing element per query point via the 8 nearest-centroid candidates."""
-    verts = mesh.nodes[mesh.conn[:, :3]]
-    tree = cKDTree(mesh.centroids)
-    # a list of ranks keeps the result 2-D even when only one element exists
-    _, candidates = tree.query(points, k=list(range(1, min(8, mesh.n_elements) + 1)))
-    found = candidates[:, 0].copy()
-    todo = np.ones(len(points), dtype=bool)
+    """Lowest-numbered element containing each point, at barycentric tolerance 1e-9.
+
+    Base cell c = j*nx + i of the generator's grid owns elements c*m to
+    (c+1)*m - 1, and red refinement puts the children of element e at
+    4e..4e+3. So each point picks its cell, then its base triangle, then one
+    child per refine level, from barycentrics in unit-cell coordinates; a
+    point within the tolerance of a shared side takes the lower id, so that
+    rounding in the cell coordinates cannot move it.
+    """
+    spec = mesh.spec
+    nx, ny, levels = spec.nx, spec.ny, spec.refine_level
+    cross = spec.triangulation == "cross_split"
+    per_cell = 4 if cross else 2
+    m = per_cell * 4 ** levels
+    if m * nx * ny != mesh.n_elements:
+        raise ValueError(f"mesh has {mesh.n_elements} elements, not the {m * nx * ny} "
+                         "its spec generates; cannot locate points in it")
     tol = 1e-9
-    for slot in range(candidates.shape[1]):
-        if not todo.any():
-            break
-        tri = candidates[:, slot]
-        v0, v1, v2 = verts[tri, 0], verts[tri, 1], verts[tri, 2]
-        d1, d2, dp = v1 - v0, v2 - v0, points - v0
-        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        l1 = (dp[:, 0] * d2[:, 1] - dp[:, 1] * d2[:, 0]) / det
-        l2 = (d1[:, 0] * dp[:, 1] - d1[:, 1] * dp[:, 0]) / det
-        inside = (l1 >= -tol) & (l2 >= -tol) & (l1 + l2 <= 1.0 + tol)
-        hit = todo & inside
-        found[hit] = tri[hit]
-        todo &= ~inside
-    return found
+    sx, sy = points[:, 0] * (nx / spec.width), points[:, 1] * (ny / spec.height)
+    i = np.clip(np.ceil(sx - tol) - 1, 0, nx - 1)
+    j = np.clip(np.ceil(sy - tol) - 1, 0, ny - 1)
+    u, v = sx - i, sy - j
+    if cross:
+        # bottom, right, top and left triangles around the cell centre
+        d1, d2 = v - u, u + v - 1.0
+        k = np.where(d1 <= tol, np.where(d2 <= tol, 0, 1), np.where(d2 >= -tol, 2, 3))
+        bary = np.stack([(-d2, -d1, 2.0 * v), (-d1, d2, 2.0 - 2.0 * u),
+                         (d2, d1, 2.0 - 2.0 * v), (d1, -d2, 2.0 * u)])
+    else:
+        k = np.where(v <= u + tol, 0, 1)
+        bary = np.stack([(1.0 - u, u - v, v), (1.0 - v, u, v - u)])
+    bary = bary[k, :, np.arange(len(k))].T
+    elem = (j * nx + i).astype(np.int64) * per_cell + k
+    for _ in range(levels):
+        bary *= 2.0
+        corner_hit = bary >= 1.0 - tol
+        child = np.where(corner_hit.any(axis=0), corner_hit.argmax(axis=0), 3)
+        # corner child c: (2l0, 2l1, 2l2) less one at c; middle: (1-2l2, 1-2l0, 1-2l1)
+        corner = child < 3
+        bary[child[corner], np.flatnonzero(corner)] -= 1.0
+        bary[:, ~corner] = 1.0 - bary[[2, 0, 1]][:, ~corner]
+        elem = 4 * elem + child
+    return elem
 
 
 def density_raster(mesh: Mesh, x: np.ndarray) -> np.ndarray:
@@ -89,14 +109,12 @@ def density_raster(mesh: Mesh, x: np.ndarray) -> np.ndarray:
 def write_columns(path, header: list[str], columns, trailer=()) -> None:
     """CSV table from per-column arrays: one repr per cell, then trailer rows.
 
-    Rows stream out without building the table. Numeric cells never need
-    quoting, so the bytes equal those of a csv.writer row loop over the
-    same reprs, CRLF line endings included.
+    Numeric cells never need quoting, so the bytes equal those of a
+    csv.writer row loop over the same reprs, CRLF line endings included.
     """
-    cells = [map(repr, np.asarray(col).tolist()) for col in columns]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
+        write_rows(fh, columns, ",", "\r\n")
         fh.writelines(",".join(row) + "\r\n" for row in trailer)
 
 

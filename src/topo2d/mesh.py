@@ -12,6 +12,7 @@ order so repeated generation is bit-for-bit reproducible.
 
 import dataclasses
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -409,30 +410,35 @@ def nearest_node(mesh: Mesh, x: float, y: float) -> int:
 _VTK_CELL_TYPE = {"p1": 5, "q1": 9, "p2": 22}
 
 
+def write_rows(fh, columns, sep: str = " ", end: str = "\n") -> None:
+    """One line per row: the reprs of the columns' values, joined by sep.
+
+    One %-format over a row pattern repeated per row formats the whole
+    table in C, with each value's type kept (an int column prints as ints).
+    """
+    cells = [np.asarray(col).tolist() for col in columns]
+    row = sep.join(["%r"] * len(cells)) + end
+    fh.write(row * len(cells[0]) % tuple(chain.from_iterable(zip(*cells))))
+
+
 def write_vtk(mesh: Mesh, path, cell_data: dict | None = None) -> None:
     """Write the mesh as legacy ASCII VTK with optional per-element scalars."""
     k = ELEMENT_NODES[mesh.family]
-    lines = [
-        "# vtk DataFile Version 3.0",
-        "topo2d mesh",
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {mesh.n_nodes} double",
-    ]
-    lines.extend(f"{float(x)!r} {float(y)!r} 0.0" for x, y in mesh.nodes)
-    lines.append(f"CELLS {mesh.n_elements} {mesh.n_elements * (k + 1)}")
-    lines.extend(f"{k} " + " ".join(str(n) for n in row) for row in mesh.conn)
-    lines.append(f"CELL_TYPES {mesh.n_elements}")
-    cell_type = _VTK_CELL_TYPE[mesh.family]
-    lines.extend(str(cell_type) for _ in range(mesh.n_elements))
-    if cell_data:
-        lines.append(f"CELL_DATA {mesh.n_elements}")
-        for name, values in cell_data.items():
-            values = np.asarray(values, dtype=float)
-            if values.shape != (mesh.n_elements,):
-                raise ValueError(f"cell data {name!r} must have one value per element")
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(f"{float(v)!r}" for v in values)
+    n_el = mesh.n_elements
+    scalars = {}
+    for name, values in (cell_data or {}).items():
+        scalars[name] = np.asarray(values, dtype=float)
+        if scalars[name].shape != (n_el,):
+            raise ValueError(f"cell data {name!r} must have one value per element")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("# vtk DataFile Version 3.0\ntopo2d mesh\nASCII\n"
+                 f"DATASET UNSTRUCTURED_GRID\nPOINTS {mesh.n_nodes} double\n")
+        write_rows(fh, [mesh.nodes[:, 0], mesh.nodes[:, 1], np.zeros(mesh.n_nodes)])
+        fh.write(f"CELLS {n_el} {n_el * (k + 1)}\n")
+        write_rows(fh, [np.full(n_el, k), *mesh.conn.T])
+        fh.write(f"CELL_TYPES {n_el}\n" + f"{_VTK_CELL_TYPE[mesh.family]}\n" * n_el)
+        if scalars:
+            fh.write(f"CELL_DATA {n_el}\n")
+        for name, values in scalars.items():
+            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            write_rows(fh, [values])

@@ -74,14 +74,16 @@ def build_load_case(problem: str, mesh: Mesh) -> LoadCase:
     if problem in ("cantilever", "bevel"):
         tol = 1e-9 * max(spec.width, spec.height)
         fixed = np.flatnonzero(np.abs(mesh.nodes[:, 0]) <= tol)
-        if problem == "cantilever":
-            tip = nearest_node(mesh, spec.width, 0.0)
-        else:
-            tip = nearest_node(mesh, spec.width, 0.5 * spec.height)
-        return LoadCase(fixed_nodes=fixed, point_loads=((tip, 0.0, -1.0),))
-    fixed = np.array(
-        [nearest_node(mesh, 0.0, 0.0), nearest_node(mesh, spec.width, 0.0)],
-        dtype=np.int64,
-    )
-    mid = nearest_node(mesh, 0.5 * spec.width, 0.0)
-    return LoadCase(fixed_nodes=fixed, point_loads=((mid, 0.0, -1.0),))
+        load_y = 0.0 if problem == "cantilever" else 0.5 * spec.height
+        load = nearest_node(mesh, spec.width, load_y)
+    else:
+        fixed = np.array(
+            [nearest_node(mesh, 0.0, 0.0), nearest_node(mesh, spec.width, 0.0)],
+            dtype=np.int64,
+        )
+        load = nearest_node(mesh, 0.5 * spec.width, 0.0)
+    # a load on a support would vanish from the reduced system
+    if load in fixed:
+        raise ValueError(f"{problem}: the load node {load} is also a support on this mesh; "
+                         "use a finer grid")
+    return LoadCase(fixed_nodes=fixed, point_loads=((load, 0.0, -1.0),))

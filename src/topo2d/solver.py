@@ -318,7 +318,9 @@ def _solve_reduced(K_ff: sp.csc_matrix, rhs: np.ndarray, method: str, asm):
         raise ValueError("all degrees of freedom are constrained")
     if method == "direct":
         try:
-            lu = spla.splu(K_ff, permc_spec=asm._permc_spec)
+            # K_ff is SPD, so diagonal pivots are stable, as in Cholesky; row
+            # swaps would only let the fill grow with the design's contrast
+            lu = spla.splu(K_ff, permc_spec=asm._permc_spec, diag_pivot_thresh=0.0)
         except RuntimeError as exc:
             raise SingularSystemError(f"direct factorization failed: {exc}") from exc
         if asm._permc_spec != "NATURAL":

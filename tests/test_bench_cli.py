@@ -1,6 +1,7 @@
 """Benchmark front end: exports, presets, config resolution, end-to-end runs."""
 
 import csv
+import dataclasses
 import os
 from dataclasses import fields
 
@@ -17,7 +18,7 @@ from topo2d.estimator import estimate, write_error_report
 from topo2d.export import (REPORT_COLUMNS, append_report, density_raster,
                            density_to_gray, report_row, write_density_csv,
                            write_pgm)
-from topo2d.mesh import DomainSpec, generate_mesh
+from topo2d.mesh import DomainSpec, generate_mesh, refine_uniform
 from topo2d.presets import PRESETS, build_load_case, preset_domain_spec
 
 
@@ -60,6 +61,69 @@ def test_triangle_raster_constant_field():
     image = density_raster(mesh, np.full(mesh.n_elements, 0.3))
     assert image.shape == (16, 24)  # 8 pixels per unit
     assert np.all(image == density_to_gray(np.array([0.3]))[0])
+
+
+def lowest_containing_element(mesh, points, tol=1e-9):
+    """Brute force: the lowest element id whose barycentrics at each point
+    are all at least -tol, or -1 when none is."""
+    found = np.full(len(points), -1)
+    for e, (v0, v1, v2) in enumerate(mesh.nodes[mesh.conn[:, :3]]):
+        d1, d2, dp = v1 - v0, v2 - v0, points - v0
+        det = d1[0] * d2[1] - d1[1] * d2[0]
+        l1 = (dp[:, 0] * d2[1] - dp[:, 1] * d2[0]) / det
+        l2 = (d1[0] * dp[:, 1] - d1[1] * dp[:, 0]) / det
+        inside = (l1 >= -tol) & (l2 >= -tol) & (l1 + l2 <= 1.0 + tol)
+        found[inside & (found < 0)] = e
+    return found
+
+
+def raster_points(spec):
+    """Pixel centres as density_raster samples them, plus the domain's
+    corners and side midpoints."""
+    width_px = int(round(spec.width * export.PIXELS_PER_UNIT))
+    height_px = int(round(spec.height * export.PIXELS_PER_UNIT))
+    gx, gy = np.meshgrid((np.arange(width_px) + 0.5) * spec.width / width_px,
+                         (np.arange(height_px) + 0.5) * spec.height / height_px)
+    w, h = spec.width, spec.height
+    rim = [[0, 0], [w, 0], [0, h], [w, h], [w / 2, 0], [w, h / 2], [w / 2, h], [0, h / 2]]
+    return np.vstack([np.column_stack([gx.ravel(), gy.ravel()]), rim])
+
+
+@pytest.mark.parametrize("shape", ["rectangle", "trapezoid"])
+@pytest.mark.parametrize("refine", [0, 1, 2])
+@pytest.mark.parametrize("tri", ["two_split", "cross_split"])
+@pytest.mark.parametrize("family", ["p1", "p2"])
+def test_triangle_locator_matches_brute_force(family, tri, refine, shape):
+    # the raster's tie rule: a centre on a shared edge takes the lowest id
+    spec = DomainSpec(6.0, 4.0, 6, 4, shape=shape, triangulation=tri, refine_level=refine,
+                      right_height=4.0 / 3.0 if shape == "trapezoid" else None)
+    mesh = generate_mesh(spec, family)
+    points = raster_points(spec)
+    expected = lowest_containing_element(mesh, points)
+    assert np.all(expected >= 0)
+    np.testing.assert_array_equal(export._locate_triangles(mesh, points), expected)
+
+
+@pytest.mark.parametrize("tri", ["two", "cross"])
+def test_triangle_locator_on_grid_cells(tri):
+    # --grid 13 on a 10 by 10 domain: cell coordinates round, so pixel
+    # centres on a diagonal and nodes on a cell side land a rounding error
+    # off it, and only the tolerance keeps the lowest id. refine_uniform
+    # must keep the numbering the locator descends.
+    cfg = resolve_config({"problem": "bridge", "elem": "p1", "nx": 10, "ny": 10,
+                          "grid": 13, "triangulation": tri})
+    mesh = prepare(cfg)[0]
+    for candidate in (mesh, refine_uniform(mesh)):
+        points = np.vstack([raster_points(mesh.spec), candidate.nodes])
+        np.testing.assert_array_equal(export._locate_triangles(candidate, points),
+                                      lowest_containing_element(candidate, points))
+
+
+def test_triangle_locator_rejects_foreign_numbering():
+    mesh = generate_mesh(DomainSpec(3.0, 2.0, 3, 2, triangulation="two_split"), "p1")
+    trimmed = dataclasses.replace(mesh, conn=mesh.conn[:-1])
+    with pytest.raises(ValueError, match="11 elements"):
+        density_raster(trimmed, np.ones(trimmed.n_elements))
 
 
 def test_density_csv_roundtrip(tmp_path):
@@ -345,6 +409,36 @@ def test_main_exit_codes(tmp_path, capsys):
             main(["--problem", "cantilever", "--nx", "6", "--ny", "4",
                   "--quiet", "--out", str(tmp_path / "bad"), flag, value])
         assert exc.value.code == 2
+
+    # a preset load that lands on a support would vanish from the system
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["--problem", "bridge", "--elem", "p1", "--nx", "1", "--ny", "1",
+              "--max-iters", "2", "--quiet", "--out", str(tmp_path / "tiny")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "bridge" in err and "load node 0" in err
+
+
+def test_option_lower_bounds_exit_two(tmp_path, capsys):
+    # the bounds live in the option table and hold for flags and files alike
+    cfg_file = tmp_path / "refine.cfg"
+    cfg_file.write_text("refine=-1\n")
+    cases = [(["--nx", "0"], "--nx must be at least 1 (got 0)"),
+             (["--ny", "-1"], "--ny must be at least 1 (got -1)"),
+             (["--grid", "0"], "--grid must be at least 1 (got 0)"),
+             (["--max-iters", "0"], "--max-iters must be at least 1 (got 0)"),
+             (["--refine", "-1"], "--refine must be at least 0 (got -1)"),
+             (["--snapshot-every", "-2"], "--snapshot-every must be at least 0 (got -2)"),
+             (["--config", str(cfg_file)], "--refine must be at least 0 (got -1)")]
+    for args, message in cases:
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["--problem", "cantilever", "--elem", "p1", "--quiet",
+                  "--out", str(tmp_path / "bad"), *args])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "bad").exists()
 
 
 def test_main_bisection_failure_exits_one(tmp_path, monkeypatch, capsys):

@@ -4,10 +4,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from topo2d.fem import edge_quadrature_3pt, reference_coords, shape_functions_at
-from topo2d.mesh import (DIRICHLET, INTERIOR, NEUMANN, DomainSpec,
-                         boundary_node_ids, classify_boundary, edge_points,
+from topo2d.fem import ELEMENT_NODES, edge_quadrature_3pt, reference_coords, shape_functions_at
+from topo2d.mesh import (DIRICHLET, INTERIOR, NEUMANN, SHAPES, TRIANGULATIONS,
+                         DomainSpec, boundary_node_ids, classify_boundary, edge_points,
                          edge_trace, generate_mesh, nearest_node,
                          refine_uniform, write_vtk)
 from topo2d.presets import build_load_case, preset_domain_spec
@@ -328,3 +330,83 @@ def test_write_vtk_roundtrip(tmp_path):
     np.testing.assert_array_equal(first[1:], mesh.conn[0])
     assert any(l.startswith("CELL_DATA") for l in text)
     assert any("density" in l for l in text)
+
+
+def reference_write_vtk(mesh, path, cell_data=None):
+    """The one-f-string-per-line writer that write_vtk streams, kept as the
+    byte oracle."""
+    k = ELEMENT_NODES[mesh.family]
+    lines = ["# vtk DataFile Version 3.0", "topo2d mesh", "ASCII",
+             "DATASET UNSTRUCTURED_GRID", f"POINTS {mesh.n_nodes} double"]
+    lines.extend(f"{float(x)!r} {float(y)!r} 0.0" for x, y in mesh.nodes)
+    lines.append(f"CELLS {mesh.n_elements} {mesh.n_elements * (k + 1)}")
+    lines.extend(f"{k} " + " ".join(str(n) for n in row) for row in mesh.conn)
+    lines.append(f"CELL_TYPES {mesh.n_elements}")
+    cell_type = {"p1": 5, "q1": 9, "p2": 22}[mesh.family]
+    lines.extend(str(cell_type) for _ in range(mesh.n_elements))
+    if cell_data:
+        lines.append(f"CELL_DATA {mesh.n_elements}")
+        for name, values in cell_data.items():
+            lines.append(f"SCALARS {name} double 1")
+            lines.append("LOOKUP_TABLE default")
+            lines.extend(f"{float(v)!r}" for v in np.asarray(values, dtype=float))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("family", ["q1", "p1", "p2"])
+def test_write_vtk_bytes_match_reference(family, tmp_path):
+    spec = DomainSpec(3.0, 2.0, 3, 2, shape="trapezoid", right_height=0.7,
+                      triangulation="cross_split", refine_level=1)
+    mesh = generate_mesh(spec, family)
+    rng = np.random.default_rng(5)
+    # awkward floats: many digits, tiny, negative zero, integers as floats
+    values = rng.uniform(1e-3, 1.0, mesh.n_elements) / 3.0
+    values[:3] = (1e-300, -0.0, 1.0)
+    for cell_data in (None, {"density": values, "rank": np.arange(mesh.n_elements)}):
+        write_vtk(mesh, tmp_path / "new.vtk", cell_data=cell_data)
+        reference_write_vtk(mesh, tmp_path / "ref.vtk", cell_data=cell_data)
+        assert (tmp_path / "new.vtk").read_bytes() == (tmp_path / "ref.vtk").read_bytes()
+
+    # a bad array is refused before the file is opened
+    with pytest.raises(ValueError, match="one value per element"):
+        write_vtk(mesh, tmp_path / "bad.vtk", cell_data={"density": values[:-1]})
+    assert not (tmp_path / "bad.vtk").exists()
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(["q1", "p1", "p2"]), nx=st.integers(1, 5), ny=st.integers(1, 5),
+       shape=st.sampled_from(SHAPES), tri=st.sampled_from(TRIANGULATIONS),
+       refine=st.integers(0, 2), width=st.floats(0.5, 40.0), height=st.floats(0.5, 40.0))
+def test_mesh_invariants(family, nx, ny, shape, tri, refine, width, height):
+    spec = DomainSpec(width, height, nx, ny, shape=shape, triangulation=tri,
+                      right_height=height / 3.0 if shape == "trapezoid" else None,
+                      refine_level=refine)
+    mesh = generate_mesh(spec, family)
+
+    # the elements tile the bounding rectangle, passive ones included
+    assert np.all(mesh.areas > 0.0)
+    assert mesh.areas.sum() == pytest.approx(width * height, rel=1e-12)
+
+    # an edge has one element on the rectangle's boundary, two distinct inside
+    ends = mesh.nodes[mesh.edge_nodes]
+    on_side = np.zeros(mesh.n_edges, dtype=bool)
+    for axis, extent in ((0, width), (1, height)):
+        for value in (0.0, extent):
+            on_side |= np.all(np.abs(ends[:, :, axis] - value) <= 1e-9 * extent, axis=1)
+    first, second = mesh.edge_elems.T
+    np.testing.assert_array_equal(second < 0, on_side)
+    assert np.all(first[~on_side] != second[~on_side])
+    assert np.all((first >= 0) & (first < mesh.n_elements) & (second < mesh.n_elements))
+    sides = 4 if family == "q1" else 3
+    np.testing.assert_array_equal(
+        np.bincount(mesh.edge_elems[mesh.edge_elems >= 0], minlength=mesh.n_elements), sides)
+
+    if family != "q1":
+        # base cell c = j*nx + i owns the elements c*m .. (c+1)*m - 1
+        m = (4 if tri == "cross_split" else 2) * 4 ** refine
+        cell = np.arange(mesh.n_elements) // m
+        i, j = cell % nx, cell // nx
+        u = mesh.centroids[:, 0] / (width / nx) - i
+        v = mesh.centroids[:, 1] / (height / ny) - j
+        assert np.all((u > 0.0) & (u < 1.0) & (v > 0.0) & (v < 1.0))

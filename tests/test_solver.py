@@ -414,6 +414,30 @@ def test_assembler_reuses_first_factorization_order(family, tri, monkeypatch):
     assert factors[-1][0] == "NATURAL"
 
 
+@pytest.mark.parametrize("family,tri", [("q1", "two_split"), ("p1", "cross_split"),
+                                        ("p2", "two_split")])
+def test_factor_fill_does_not_grow_with_design_contrast(family, tri, monkeypatch):
+    # K_ff is SPD, so the factorization keeps its diagonal pivots: a
+    # 0/1-like design fills exactly as much as a uniform one, where row
+    # swaps would add fill as the contrast grows
+    fills = []
+    splu = spla.splu
+
+    def recording_splu(K, **kwargs):
+        lu = splu(K, **kwargs)
+        fills.append(lu.nnz)
+        return lu
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    mesh = generate_mesh(DomainSpec(4.0, 3.0, 8, 6, triangulation=tri), family)
+    asm = StiffnessAssembler(mesh, MAT, cantilever_case(mesh))
+    # penal 1 keeps the stiffness contrast at 1e3, within the residual check
+    asm.solve(np.ones(mesh.n_elements), 1.0)
+    design = np.random.default_rng(7).choice([1e-3, 1.0], mesh.n_elements)
+    asm.solve(design, 1.0)
+    assert fills[0] == fills[1]
+
+
 @settings(max_examples=30, deadline=None)
 @given(family=st.sampled_from(["q1", "p1", "p2"]),
        tri=st.sampled_from(["two_split", "cross_split"]),
