@@ -18,9 +18,9 @@ import numpy as np
 from . import export
 from .estimator import ErrorBreakdown, estimate, write_error_report
 from .fem import Material
-from .mesh import Mesh, classify_boundary, generate_mesh
+from .mesh import DomainSpec, Mesh, classify_boundary, generate_mesh
 from .optimizer import SimpConfig, optimize, write_history_csv
-from .presets import PRESETS, build_load_case, preset_domain_spec
+from .presets import BEVEL_RIGHT_RATIO, PRESETS, build_load_case, preset_domain_spec
 from .solver import LoadCase, SolveError, assemble, solve
 
 _TRIANGULATION = {"two": "two_split", "cross": "cross_split"}
@@ -52,16 +52,16 @@ class RunConfig:
     triangulation: str = _option("cross", choices=tuple(_TRIANGULATION))
     refine: int = _option(0, "uniform refinement levels", minimum=0)
     volfrac: float | None = _option(None)
-    penal: float = _option(3.0)
-    rmin: float = _option(1.5)
-    move: float = _option(0.2)
-    conv_tol: float = _option(0.01)
-    max_iters: int = _option(500, minimum=1)
+    penal: float = _option(SimpConfig.penal)
+    rmin: float = _option(SimpConfig.rmin)
+    move: float = _option(SimpConfig.move)
+    conv_tol: float = _option(SimpConfig.conv_tol)
+    max_iters: int = _option(SimpConfig.max_iters, minimum=1)
     material: str = _option("lame", choices=tuple(_MATERIAL))
     estimate_error: bool = _option(False)
     out: str = _option("out")
     bevel_ratio: float = _option(
-        1.0 / 3.0, "right-edge height as a fraction of the left (bevel only)")
+        BEVEL_RIGHT_RATIO, "right-edge height as a fraction of the left (bevel only)")
     snapshot_every: int = _option(0, "write a density raster every N iterations", minimum=0)
     quiet: bool = _option(False)
 
@@ -173,16 +173,10 @@ def resolve_config(flags: dict, file_values: dict | None = None) -> RunConfig:
     return RunConfig(**merged)
 
 
-def prepare(cfg: RunConfig):
-    """Build the mesh, classified boundary and load case for a config."""
-    simp = SimpConfig(
-        volfrac=cfg.volfrac,
-        penal=cfg.penal,
-        rmin=cfg.rmin,
-        move=cfg.move,
-        conv_tol=cfg.conv_tol,
-        max_iters=cfg.max_iters,
-    )
+def _checked_specs(cfg: RunConfig) -> tuple[SimpConfig, DomainSpec]:
+    """A config's SIMP parameters and domain, both validated; no mesh is built."""
+    simp = SimpConfig(**{f.name: getattr(cfg, f.name)
+                         for f in fields(SimpConfig) if f.name in _FIELDS})
     simp.validate()
     if cfg.elem == "q1":
         nx, ny = cfg.nx, cfg.ny
@@ -199,6 +193,13 @@ def prepare(cfg: RunConfig):
         refine_level=cfg.refine,
         bevel_ratio=cfg.bevel_ratio,
     )
+    spec.validate()
+    return simp, spec
+
+
+def prepare(cfg: RunConfig):
+    """Build the mesh, classified boundary and load case for a config."""
+    simp, spec = _checked_specs(cfg)
     mesh = generate_mesh(spec, cfg.elem)
     case = build_load_case(cfg.problem, mesh)
     mesh = classify_boundary(mesh, case)
@@ -307,6 +308,8 @@ def run_sweep(sweep_path, flags: dict, jobs: int, file_values: dict | None = Non
                 raise ValueError(f"option {key!r} is set per run by --sweep; "
                                  "remove it from the sweep line")
         cfg = resolve_config(flags, {**file_values, **values})
+        # every line is checked before the first run writes anything
+        _checked_specs(cfg)
         index = len(configs)
         cfg.out = os.path.join(base_out, f"run_{index:03d}")
         cfg.quiet = True

@@ -322,25 +322,14 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     return _build_mesh(mesh.family, nodes, conn, np.repeat(mesh.passive, 4), spec)
 
 
-def _resolve_fixed_nodes(mesh: Mesh, case) -> np.ndarray:
-    fixed = getattr(case, "fixed_nodes", case)
-    if callable(fixed):
-        mask = np.asarray(
-            [bool(fixed(x, y)) for x, y in mesh.nodes], dtype=bool
-        )
-        return np.flatnonzero(mask)
-    return np.asarray(fixed, dtype=np.int64)
-
-
 def classify_boundary(mesh: Mesh, case) -> Mesh:
     """Label boundary edges from a load case's fixed nodes.
 
     A boundary edge becomes DIRICHLET when both endpoint vertices are
-    fixed, NEUMANN otherwise. `case` may be a LoadCase, an array of node
-    ids, or a predicate over (x, y). Returns a new mesh sharing all other
-    arrays.
+    fixed, NEUMANN otherwise. `case` is a LoadCase or an array of node ids.
+    Returns a new mesh sharing all other arrays.
     """
-    fixed = _resolve_fixed_nodes(mesh, case)
+    fixed = np.asarray(getattr(case, "fixed_nodes", case), dtype=np.int64)
     is_fixed = np.zeros(mesh.n_nodes, dtype=bool)
     is_fixed[fixed] = True
     kind = mesh.edge_kind.copy()

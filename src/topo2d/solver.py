@@ -11,11 +11,12 @@ element-matrix entry in it; each assembly is one weighted bincount into that
 pattern. The full K is built only when GlobalSystem.K is read; prescribed
 values are lifted into the right-hand side element by element. An
 assembler's first SuperLU factorization orders by minimum degree on K + K^T;
-its second solve renumbers the reduced dofs in that order, so later
-factorizations skip the ordering. From then on asm.free, and the free_dofs
-of apply_dirichlet, follow that order. Every solve is checked once against
-its own relative residual; a zero right-hand side is checked by solving a
-fixed probe instead.
+its second solve renumbers the free nodes in that order and rebuilds the
+pattern with the same builder, so later factorizations skip the ordering.
+asm.free, and the free_dofs of apply_dirichlet, stay in node pairs (x then
+y). StiffnessAssembler.solve and solve() share one sequence. Every solve is
+checked once against its own relative residual; a zero right-hand side is
+checked by solving a fixed probe instead.
 """
 
 from dataclasses import dataclass
@@ -173,19 +174,23 @@ class StiffnessAssembler:
         free_mask = np.ones(self.ndof, dtype=bool)
         free_mask[self.constrained] = False
         self.free = np.flatnonzero(free_mask)
-        self._build_reduced_pattern(free_mask[0::2])
+        self._build_reduced_pattern()
         # column order of the first factorization, until _fold_order applies it
         self._perm_c = None
         self._permc_spec = "MMD_AT_PLUS_A"
 
-    def _build_reduced_pattern(self, free_node: np.ndarray) -> None:
-        # Supports pin whole nodes, so the J-th free node owns reduced dofs 2J
-        # and 2J+1 and the pattern is made of 2x2 node blocks: only node
-        # pairs are sorted, a quarter of the dof pairs.
+    def _build_reduced_pattern(self) -> None:
+        # Supports pin whole nodes, so free holds (x, y) pairs and the J-th
+        # free node owns reduced dofs 2J and 2J+1. The pattern is made of 2x2
+        # node blocks: only node pairs are sorted, a quarter of the dof pairs.
         n_el, k = self.mesh.conn.shape
-        n_free = int(free_node.sum())
-        rank = (np.cumsum(free_node) - 1)[self.mesh.conn]
-        ok = free_node[self.mesh.conn]
+        nodes = self.free[0::2] // 2
+        n_free = len(nodes)
+        free_node = np.zeros(self.mesh.n_nodes, dtype=bool)
+        free_node[nodes] = True
+        rank = np.zeros(self.mesh.n_nodes, dtype=np.int64)
+        rank[nodes] = np.arange(n_free)
+        rank, ok = rank[self.mesh.conn], free_node[self.mesh.conn]
         pair_ok = ok[:, :, None] & ok[:, None, :]
         # column-major keys sort node pairs by column node, then row node
         keys, pair = np.unique((rank[:, None, :] * n_free + rank[:, :, None])[pair_ok],
@@ -224,30 +229,20 @@ class StiffnessAssembler:
         self._indices, self._indptr = pattern.indices, pattern.indptr
 
     def _fold_order(self) -> None:
-        """Renumber the reduced dofs so that reduced dof i becomes perm_c[i].
+        """Renumber the free nodes in the first factorization's elimination order.
 
-        Matrices returned earlier share the pattern arrays, so those are
-        replaced; _slot is remapped in place, and temporaries are few, to
-        keep the run's peak RSS.
+        Minimum degree eliminates a node's two dofs together, so a node takes
+        the place of its first dof. The builder makes fresh pattern arrays,
+        so matrices returned earlier keep the old ones.
         """
         if self._perm_c is None:
             return
         perm, self._perm_c = self._perm_c, None
-        n, nnz = len(self.free), len(self._indices)
-        cols = np.repeat(perm, np.diff(self._indptr))
-        rows = perm[self._indices]
-        # perm_c is int32, so the column-major sort key is formed in int64
-        order = np.argsort(cols * np.int64(n) + rows)
-        moved = np.empty(nnz + 2, dtype=np.int64)
-        moved[order] = np.arange(nnz)
-        # entries on a pinned node keep the two slots past the end
-        moved[nnz:] = (nnz, nnz + 1)
-        for lo in range(0, len(self._slot), 1 << 16):
-            self._slot[lo:lo + (1 << 16)] = moved[self._slot[lo:lo + (1 << 16)]]
-        self.free = self.free[np.argsort(perm)]
-        self._indices = rows[order].astype(self._indices.dtype, copy=False)
-        self._indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n)))
-                                      ).astype(self._indptr.dtype)
+        order = np.argsort(np.minimum(perm[0::2], perm[1::2]))
+        self.free = self.free.reshape(-1, 2)[order].ravel()
+        # drop the old map before the builder allocates the new one
+        self._slot = None
+        self._build_reduced_pattern()
         self._permc_spec = "NATURAL"
 
     def scaled_data(self, x: np.ndarray, penal: float) -> np.ndarray:
@@ -263,10 +258,7 @@ class StiffnessAssembler:
         return sp.csc_matrix((data[:nnz], self._indices, self._indptr), shape=(n, n))
 
     def solve(self, x: np.ndarray, penal: float, method: str = "direct") -> SolveResult:
-        self._fold_order()
-        u_f, residual_norm = _solve_reduced(self.reduced_matrix(x, penal),
-                                            self.F[self.free], method, self)
-        return _expand_solution(self, u_f, residual_norm, self.F)
+        return solve(self.global_system(x, penal), method)
 
     def strain_energies(self, U: np.ndarray) -> np.ndarray:
         """Per-element u_e^T K0_e u_e at unit density."""
@@ -357,15 +349,6 @@ def _solve_reduced(K_ff: sp.csc_matrix, rhs: np.ndarray, method: str, asm):
     raise ValueError(f"unknown solve method {method!r}")
 
 
-def _expand_solution(asm: StiffnessAssembler, u_f, residual_norm, F,
-                     prescribed=None) -> SolveResult:
-    U = np.zeros(asm.ndof)
-    U[asm.free] = u_f
-    if prescribed is not None:
-        U[asm.constrained] = np.asarray(prescribed, dtype=float)[asm.constrained]
-    return SolveResult(U=U, residual_norm=residual_norm, compliance=float(F @ U))
-
-
 def solve(system: GlobalSystem, method: str = "direct",
           prescribed: np.ndarray | None = None) -> SolveResult:
     """Solve K U = F with constrained dofs eliminated.
@@ -375,6 +358,11 @@ def solve(system: GlobalSystem, method: str = "direct",
     rtol 1e-10. Raises SingularSystemError when the reduced system is
     singular or the residual check fails.
     """
-    K_ff, rhs, _ = apply_dirichlet(system, prescribed)
-    u_f, residual_norm = _solve_reduced(K_ff, rhs, method, system.assembler)
-    return _expand_solution(system.assembler, u_f, residual_norm, system.F, prescribed)
+    asm = system.assembler
+    K_ff, rhs, free = apply_dirichlet(system, prescribed)
+    u_f, residual_norm = _solve_reduced(K_ff, rhs, method, asm)
+    U = np.zeros(asm.ndof)
+    U[free] = u_f
+    if prescribed is not None:
+        U[asm.constrained] = np.asarray(prescribed, dtype=float)[asm.constrained]
+    return SolveResult(U=U, residual_norm=residual_norm, compliance=float(system.F @ U))

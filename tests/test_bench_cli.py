@@ -494,6 +494,27 @@ def test_sweep_lines_layer_over_config_file(tmp_path):
     assert [values["volfrac"] for values in configs] == ["0.45", "0.35"]
 
 
+def test_sweep_checks_every_line_before_running(tmp_path, capsys):
+    # a line whose SIMP parameters or domain are invalid stops the sweep
+    # before the first run writes anything
+    cases = [("cantilever", "volfrac=0.0001",
+              "error: volfrac 0.0001 is below the density floor x_min 0.001\n"),
+             ("bevel", "bevel-ratio=2",
+              "error: right_height must lie in (0, height]\n")]
+    for problem, bad, message in cases:
+        sweep = tmp_path / f"{problem}_lines.txt"
+        sweep.write_text(f"nx=6 ny=4 max-iters=1\nnx=6 ny=4 max-iters=1 {bad}\n")
+        out = tmp_path / problem
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["--problem", problem, "--sweep", str(sweep), "--jobs", "1",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == message
+        assert not (out / "run_000").exists()
+        assert not (out / "sweep_report.csv").exists()
+
+
 def test_run_returns_report(tmp_path):
     cfg = resolve_config({"problem": "cantilever", "nx": 6, "ny": 4,
                           "max_iters": 2, "quiet": True,
