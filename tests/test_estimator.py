@@ -5,13 +5,16 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topo2d.estimator import (ErrorBreakdown, bulk_residual, estimate,
                               jump_residual, neumann_residual,
                               stress_divergence, write_error_report)
-from topo2d.fem import Material, elasticity_matrix
-from topo2d.mesh import (DIRICHLET, INTERIOR, NEUMANN, DomainSpec,
-                         classify_boundary, generate_mesh)
+from topo2d.fem import Material, edge_quadrature_3pt, elasticity_matrix, gradients_physical
+from topo2d.mesh import (DIRICHLET, INTERIOR, NEUMANN, DomainSpec, _build_mesh,
+                         classify_boundary, edge_points, edge_trace, generate_mesh)
+from topo2d.presets import build_load_case, preset_domain_spec
 from topo2d.solver import LoadCase, assemble, solve
 
 MAT = Material()
@@ -279,3 +282,159 @@ def test_estimate_reads_case_body_force():
     mesh = classify_boundary(mesh, case)
     bd = estimate(mesh, U, MAT, case)
     assert bd.bulk_total <= 1e-20
+
+
+# Exact solution for the reliability check: u = grad Re(z^4)/4 with z
+# shifted by +1 in x, so div u = 0 and lap u = 0. It solves the Lame
+# equations without body force for any lam and mu.
+def exact_displacement(x, y):
+    X = x + 1.0
+    return X**3 - 3.0 * X * y**2, y**3 - 3.0 * X**2 * y
+
+
+def exact_strain(x, y):
+    X = x + 1.0
+    exx = 3.0 * X**2 - 3.0 * y**2
+    return np.stack([exx, -exx, -12.0 * X * y], axis=-1)
+
+
+def exact_traction(points, normal):
+    sig = exact_strain(points[:, 0], points[:, 1]) @ AMAT
+    return np.column_stack([sig[:, 0] * normal[0] + sig[:, 2] * normal[1],
+                            sig[:, 2] * normal[0] + sig[:, 1] * normal[1]])
+
+
+def _gauss_rule(family):
+    """Reference points and weights, Gauss-Legendre 6 per direction.
+
+    The square rule covers the biunit square; the triangle rule collapses
+    the unit square onto the reference triangle (Duffy), weight 1 - s.
+    """
+    g, w = np.polynomial.legendre.leggauss(6)
+    a, b = np.meshgrid(g, g, indexing="ij")
+    wab = np.outer(w, w).ravel()
+    if family == "q1":
+        return np.column_stack([a.ravel(), b.ravel()]), wab
+    s, t = 0.5 * (a.ravel() + 1.0), 0.5 * (b.ravel() + 1.0)
+    return np.column_stack([s, t * (1.0 - s)]), 0.25 * wab * (1.0 - s)
+
+
+def energy_error(mesh, U):
+    """||u - u_h||_E over the mesh, in the test's own quadrature."""
+    points, weights = _gauss_rule(mesh.family)
+    coords = mesh.nodes[mesh.conn]
+    ux, uy = U[2 * mesh.conn], U[2 * mesh.conn + 1]
+    total = 0.0
+    for point, weight in zip(points, weights):
+        values, dphys, det = gradients_physical(
+            mesh.family, coords, np.broadcast_to(point, (mesh.n_elements, 2)))
+        xy = np.einsum("ek,eka->ea", values, coords)
+        gx = np.einsum("ek,eka->ea", ux, dphys)
+        gy = np.einsum("ek,eka->ea", uy, dphys)
+        e = exact_strain(xy[:, 0], xy[:, 1]) - np.column_stack(
+            [gx[:, 0], gy[:, 1], gx[:, 1] + gy[:, 0]])
+        total += weight * np.sum(det * np.einsum("ei,ij,ej->e", e, AMAT, e))
+    return np.sqrt(total)
+
+
+def exact_solution_run(family, tri, n):
+    mesh = generate_mesh(DomainSpec(1.0, 1.0, n, n, triangulation=tri), family)
+    fixed = np.flatnonzero(mesh.nodes[:, 0] == 0.0)
+    case = LoadCase(fixed_nodes=fixed, traction=exact_traction)
+    mesh = classify_boundary(mesh, case)
+    lift = nodal_field(mesh, lambda x, y: exact_displacement(x, y)[0],
+                      lambda x, y: exact_displacement(x, y)[1])
+    system = assemble(mesh, np.ones(mesh.n_elements), 1.0, MAT, case)
+    U = solve(system, prescribed=lift).U
+    return estimate(mesh, U, MAT, case).eta_global, energy_error(mesh, U)
+
+
+@pytest.mark.parametrize("family,tri,order", [("q1", "two_split", 1),
+                                              ("p1", "cross_split", 1),
+                                              ("p1", "two_split", 1),
+                                              ("p2", "cross_split", 2),
+                                              ("p2", "two_split", 2)])
+def test_estimator_tracks_exact_error(family, tri, order):
+    # eta and the true energy error fall at the element's order, and their
+    # ratio settles: the estimator is reliable and efficient up to a constant
+    eta, err = np.array([exact_solution_run(family, tri, n) for n in (8, 16, 32)]).T
+    for values in (eta, err):
+        rates = np.log2(values[:-1] / values[1:])
+        np.testing.assert_allclose(rates, order, atol=0.1)
+    effectivity = eta / err
+    assert abs(effectivity[2] / effectivity[1] - 1.0) <= 0.03
+
+
+def gauss_point_tractions(mesh, U, edges, side, t):
+    """sigma(u_h) n at parameters t along edges, seen from one side: the
+    per-point reference evaluation, (m, q, 2), and the normals (m, 2)."""
+    ref, normal = edge_trace(mesh, edges, t, side)
+    elems = np.repeat(mesh.edge_elems[edges, side], len(t))
+    conn = mesh.conn[elems]
+    _, dphys, _ = gradients_physical(mesh.family, mesh.nodes[conn], ref.reshape(-1, 2))
+    gx = np.einsum("mk,mka->ma", U[2 * conn], dphys)
+    gy = np.einsum("mk,mka->ma", U[2 * conn + 1], dphys)
+    sig = np.column_stack([gx[:, 0], gy[:, 1], gx[:, 1] + gy[:, 0]]) @ AMAT
+    sig = sig.reshape(len(edges), len(t), 3)
+    nx, ny = normal[:, None, 0], normal[:, None, 1]
+    return np.stack([sig[..., 0] * nx + sig[..., 2] * ny,
+                     sig[..., 2] * nx + sig[..., 1] * ny], axis=2), normal
+
+
+def gauss_point_edge_residuals(mesh, U, traction):
+    """Jump and Neumann terms per edge with a 3-point Gauss rule."""
+    t, w = edge_quadrature_3pt()
+    jump = np.zeros(mesh.n_edges)
+    interior = np.flatnonzero(mesh.edge_kind == INTERIOR)
+    plus, _ = gauss_point_tractions(mesh, U, interior, 0, t)
+    minus, _ = gauss_point_tractions(mesh, U, interior, 1, t)
+    d = plus + minus
+    jump[interior] = mesh.edge_length[interior] ** 2 * (np.sum(d * d, axis=2) @ w)
+    neumann = np.zeros(mesh.n_edges)
+    edges = np.flatnonzero(mesh.edge_kind == NEUMANN)
+    flux, normals = gauss_point_tractions(mesh, U, edges, 0, t)
+    pts = edge_points(mesh, edges, t)
+    r = np.array([traction(p, n) for p, n in zip(pts, normals)]) - flux
+    neumann[edges] = mesh.edge_length[edges] ** 2 * (np.sum(r * r, axis=2) @ w)
+    return jump, neumann
+
+
+def oracle_meshes():
+    for family in ("q1", "p1", "p2"):
+        for tri in ("two_split", "cross_split"):
+            for refine in (0, 1):
+                spec = DomainSpec(3.0, 2.0, 4, 3, triangulation=tri, refine_level=refine)
+                mesh = generate_mesh(spec, family)
+                yield f"{family}-{tri}-{refine}", classify_boundary(mesh, west_clamped(mesh))
+        spec = preset_domain_spec("bevel", nx=8, ny=6, triangulation="two_split")
+        mesh = generate_mesh(spec, family)
+        yield f"{family}-bevel", classify_boundary(mesh, build_load_case("bevel", mesh))
+
+
+@pytest.mark.parametrize("mesh", [pytest.param(m, id=name) for name, m in oracle_meshes()])
+def test_edge_residuals_match_gauss_point_oracle(mesh):
+    rng = np.random.default_rng(17)
+    U = rng.standard_normal(2 * mesh.n_nodes)
+    jump, neumann = gauss_point_edge_residuals(mesh, U, exact_traction)
+    for got, want in ((jump_residual(mesh, MAT, U), jump),
+                      (neumann_residual(mesh, MAT, U, exact_traction), neumann)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert jump.max() > 0.0 and neumann.max() > 0.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(family=st.sampled_from(["q1", "p1", "p2"]),
+       tri=st.sampled_from(["two_split", "cross_split"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_estimate_invariant_under_element_relabeling(family, tri, seed):
+    rng = np.random.default_rng(seed)
+    base = generate_mesh(DomainSpec(3.0, 2.0, 3, 2, triangulation=tri), family)
+    perm = rng.permutation(base.n_elements)
+    relabeled = _build_mesh(family, base.nodes, base.conn[perm], base.passive[perm], base.spec)
+    U = rng.standard_normal(2 * base.n_nodes)
+    case = LoadCase(fixed_nodes=np.flatnonzero(base.nodes[:, 0] == 0.0),
+                    traction=exact_traction)
+    before = estimate(classify_boundary(base, case), U, MAT, case)
+    after = estimate(classify_boundary(relabeled, case), U, MAT, case)
+    np.testing.assert_allclose(after.eta_global, before.eta_global, rtol=1e-12)
+    np.testing.assert_allclose(after.local, before.local[perm], rtol=1e-12, atol=1e-14)
