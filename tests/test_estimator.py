@@ -349,20 +349,22 @@ def exact_solution_run(family, tri, n):
     return estimate(mesh, U, MAT, case).eta_global, energy_error(mesh, U)
 
 
-@pytest.mark.parametrize("family,tri,order", [("q1", "two_split", 1),
-                                              ("p1", "cross_split", 1),
-                                              ("p1", "two_split", 1),
-                                              ("p2", "cross_split", 2),
-                                              ("p2", "two_split", 2)])
-def test_estimator_tracks_exact_error(family, tri, order):
+@pytest.mark.parametrize("family,tri,order,effectivity", [("q1", "two_split", 1, 5.11),
+                                                          ("p1", "cross_split", 1, 2.67),
+                                                          ("p1", "two_split", 1, 3.68),
+                                                          ("p2", "cross_split", 2, 6.71),
+                                                          ("p2", "two_split", 2, 9.84)])
+def test_estimator_tracks_exact_error(family, tri, order, effectivity):
     # eta and the true energy error fall at the element's order, and their
-    # ratio settles: the estimator is reliable and efficient up to a constant
+    # ratio settles: the estimator is reliable and efficient up to a constant.
+    # The constant is pinned loosely, so that losing a whole term shows.
     eta, err = np.array([exact_solution_run(family, tri, n) for n in (8, 16, 32)]).T
     for values in (eta, err):
         rates = np.log2(values[:-1] / values[1:])
         np.testing.assert_allclose(rates, order, atol=0.1)
-    effectivity = eta / err
-    assert abs(effectivity[2] / effectivity[1] - 1.0) <= 0.03
+    ratio = eta / err
+    assert abs(ratio[2] / ratio[1] - 1.0) <= 0.03
+    np.testing.assert_allclose(ratio[2], effectivity, rtol=0.1)
 
 
 def gauss_point_tractions(mesh, U, edges, side, t):
