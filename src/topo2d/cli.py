@@ -18,7 +18,7 @@ import numpy as np
 from . import export
 from .estimator import ErrorBreakdown, estimate, write_error_report
 from .fem import Material
-from .mesh import DomainSpec, Mesh, classify_boundary, generate_mesh
+from .mesh import Mesh, classify_boundary, generate_mesh
 from .optimizer import SimpConfig, optimize, write_history_csv
 from .presets import BEVEL_RIGHT_RATIO, PRESETS, build_load_case, preset_domain_spec
 from .solver import LoadCase, SolveError, assemble, solve
@@ -173,8 +173,8 @@ def resolve_config(flags: dict, file_values: dict | None = None) -> RunConfig:
     return RunConfig(**merged)
 
 
-def _checked_specs(cfg: RunConfig) -> tuple[SimpConfig, DomainSpec]:
-    """A config's SIMP parameters and domain, both validated; no mesh is built."""
+def prepare(cfg: RunConfig):
+    """Validate a config and build its mesh, classified boundary and load case."""
     simp = SimpConfig(**{f.name: getattr(cfg, f.name)
                          for f in fields(SimpConfig) if f.name in _FIELDS})
     simp.validate()
@@ -193,13 +193,6 @@ def _checked_specs(cfg: RunConfig) -> tuple[SimpConfig, DomainSpec]:
         refine_level=cfg.refine,
         bevel_ratio=cfg.bevel_ratio,
     )
-    spec.validate()
-    return simp, spec
-
-
-def prepare(cfg: RunConfig):
-    """Build the mesh, classified boundary and load case for a config."""
-    simp, spec = _checked_specs(cfg)
     mesh = generate_mesh(spec, cfg.elem)
     case = build_load_case(cfg.problem, mesh)
     mesh = classify_boundary(mesh, case)
@@ -308,8 +301,9 @@ def run_sweep(sweep_path, flags: dict, jobs: int, file_values: dict | None = Non
                 raise ValueError(f"option {key!r} is set per run by --sweep; "
                                  "remove it from the sweep line")
         cfg = resolve_config(flags, {**file_values, **values})
-        # every line is checked before the first run writes anything
-        _checked_specs(cfg)
+        # every line, its mesh and load case too, is checked before the
+        # first run writes anything
+        prepare(cfg)
         index = len(configs)
         cfg.out = os.path.join(base_out, f"run_{index:03d}")
         cfg.quiet = True

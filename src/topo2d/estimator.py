@@ -13,9 +13,11 @@ global estimate is eta = sqrt(sum_K eta_K^2). Element diameters h_K are the
 longest vertex-pair distances; h_e is the edge length.
 
 Evaluation exploits that all generated elements are affine images of the
-reference element (straight triangles, axis-aligned rectangles): the
-discrete stress divergence is constant per element and edge traces are
-integrated exactly with a 3-point Gauss rule.
+reference element (straight triangles, axis-aligned rectangles), on which
+sigma(u_h) is affine: its values at each element's own vertices give the
+constant stress divergence and every edge trace. The jump is linear along
+an edge and integrated in closed form from its two end values; the
+Neumann term samples g at 3 Gauss points per edge.
 """
 
 from dataclasses import dataclass
@@ -48,53 +50,57 @@ class ErrorBreakdown:
     eta_global: float
 
 
-def _stress_at(mesh: meshmod.Mesh, material: fem.Material, U: np.ndarray,
-               elems: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Voigt stress of the discrete solution at reference points.
+def _vertex_stresses(mesh: meshmod.Mesh, material: fem.Material, U: np.ndarray,
+                     elems=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """Voigt stress of the discrete solution at the selected elements' vertices.
 
-    elems (m,) selects the element evaluating each of ref (m, 2).
+    Returns the stresses (m, nv, 3), vertices in local order, and the inverse
+    Jacobians (m, 2, 2). The elements are affine, so one inverse serves the
+    whole element.
     """
     conn = mesh.conn[elems]
-    _, dphys, _ = fem.gradients_physical(mesh.family, mesh.nodes[conn], ref)
-    ux = U[2 * conn]
-    uy = U[2 * conn + 1]
-    exx = np.einsum("mk,mk->m", dphys[:, :, 0], ux)
-    eyy = np.einsum("mk,mk->m", dphys[:, :, 1], uy)
-    gxy = np.einsum("mk,mk->m", dphys[:, :, 1], ux) + np.einsum(
-        "mk,mk->m", dphys[:, :, 0], uy
-    )
-    strain = np.stack([exx, eyy, gxy], axis=1)
-    return strain @ fem.elasticity_matrix(material)
+    _, dref = fem.shape_functions_at(mesh.family, fem.REF_CORNERS[mesh.family])
+    inv, _ = fem.inverse_jacobian(mesh.nodes[conn], dref[0])
+    gx = np.tensordot(U[2 * conn], dref, axes=(1, 1)) @ inv
+    gy = np.tensordot(U[2 * conn + 1], dref, axes=(1, 1)) @ inv
+    strain = np.stack([gx[..., 0], gy[..., 1], gx[..., 1] + gy[..., 0]], axis=2)
+    return strain @ fem.elasticity_matrix(material), inv
+
+
+def _end_vertices(mesh: meshmod.Mesh, edges: np.ndarray,
+                  side: int) -> tuple[np.ndarray, np.ndarray]:
+    """The side-th adjacent element of each edge, and the local vertex (m, 2)
+    of that element at each of the edge's two ends."""
+    elems = mesh.edge_elems[edges, side]
+    verts = mesh.conn[elems, :len(fem.REF_CORNERS[mesh.family])]
+    match = verts[:, None, :] == mesh.edge_nodes[edges][:, :, None]
+    found = match.any(axis=2).all(axis=1)
+    if not found.all():
+        bad = int(np.argmin(found))
+        raise ValueError(f"edge {edges[bad]} is not an edge of element {elems[bad]}")
+    return elems, match.argmax(2)
+
+
+def _traction(sigma: np.ndarray, normal: np.ndarray) -> np.ndarray:
+    """sigma . n for stresses (m, q, 3) and one normal (m, 2) per row."""
+    nx, ny = normal[:, None, 0], normal[:, None, 1]
+    return np.stack([sigma[..., 0] * nx + sigma[..., 2] * ny,
+                     sigma[..., 2] * nx + sigma[..., 1] * ny], axis=2)
 
 
 def stress_divergence(mesh: meshmod.Mesh, material: fem.Material,
                       U: np.ndarray) -> np.ndarray:
     """div sigma(u_h) per element, shape (E, 2).
 
-    Constant on every element for the supported families on affine
-    geometry, so a single evaluation at the reference centroid is exact.
+    sigma(u_h) is affine on every element (on rectangles eps_xx varies with
+    y only, eps_yy with x only), so the vertex differences along the two
+    reference axes, a step of 2 on Q1 and 1 on triangles, fix its gradient.
     """
-    coords = mesh.nodes[mesh.conn]
-    n_el = mesh.n_elements
-    center = np.full((n_el, 2), 1.0 / 3.0)
-    if mesh.family == "q1":
-        center = np.zeros((n_el, 2))
-    _, dref = fem.shape_functions_at(mesh.family, center)
-    inv, _ = fem.inverse_jacobian(coords, dref)
-
-    href = fem.shape_function_hessians(mesh.family)
-    hphys = np.einsum("eca,kcd,edb->ekab", inv, href, inv)
-    ux = U[2 * mesh.conn]
-    uy = U[2 * mesh.conn + 1]
-    hux = np.einsum("ek,ekab->eab", ux, hphys)
-    huy = np.einsum("ek,ekab->eab", uy, hphys)
-
-    lam, mu = material.lam, material.mu
-    lam2 = lam + 2.0 * mu
-    div = np.empty((n_el, 2))
-    div[:, 0] = lam2 * hux[:, 0, 0] + (lam + mu) * huy[:, 0, 1] + mu * hux[:, 1, 1]
-    div[:, 1] = lam2 * huy[:, 1, 1] + (lam + mu) * hux[:, 0, 1] + mu * huy[:, 0, 0]
-    return div
+    sigma, inv = _vertex_stresses(mesh, material, U)
+    step = 2.0 if mesh.family == "q1" else 1.0
+    dref = np.stack([sigma[:, 1] - sigma[:, 0], sigma[:, -1] - sigma[:, 0]], axis=2) / step
+    grad = dref @ inv
+    return np.stack([grad[:, 0, 0] + grad[:, 2, 1], grad[:, 2, 0] + grad[:, 1, 1]], axis=1)
 
 
 def bulk_residual(mesh: meshmod.Mesh, material: fem.Material, U: np.ndarray,
@@ -110,31 +116,13 @@ def bulk_residual(mesh: meshmod.Mesh, material: fem.Material, U: np.ndarray,
     return mesh.diameters ** 2 * mesh.areas * sq
 
 
-def _edge_tractions(mesh: meshmod.Mesh, material: fem.Material, U: np.ndarray,
-                    edges: np.ndarray, side: int,
-                    t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sigma(u_h) . n at parameters t along the edges, traced from one side.
-
-    Returns tractions (ne, q, 2) and the unit normals n (ne, 2) pointing out
-    of the side-th adjacent element.
-    """
-    ref, normal = meshmod.edge_trace(mesh, edges, t, side)
-    n_e, n_q = ref.shape[:2]
-    elems = np.repeat(mesh.edge_elems[edges, side], n_q)
-    sigma = _stress_at(mesh, material, U, elems, ref.reshape(-1, 2))
-    sigma = sigma.reshape(n_e, n_q, 3)
-    nx, ny = normal[:, 0:1], normal[:, 1:2]
-    tx = sigma[:, :, 0] * nx + sigma[:, :, 2] * ny
-    ty = sigma[:, :, 2] * nx + sigma[:, :, 1] * ny
-    return np.stack([tx, ty], axis=2), normal
-
-
 def jump_residual(mesh: meshmod.Mesh, material: fem.Material,
                   U: np.ndarray) -> np.ndarray:
     """h_e ||jump(sigma n)||_e^2 per edge; zero on boundary edges.
 
-    The jump adds the tractions seen from both sides with their own
-    outward normals, making the value independent of element labeling.
+    The jump (sigma_0 - sigma_1) n_0 does not depend on which side is
+    first. It is linear along the edge, so with end values a and b the
+    integral is h_e^2 / 3 (|a|^2 + a.b + |b|^2).
     """
     values = np.zeros(mesh.n_edges)
     interior = np.flatnonzero(mesh.edge_kind == meshmod.INTERIOR)
@@ -142,12 +130,14 @@ def jump_residual(mesh: meshmod.Mesh, material: fem.Material,
         return values
     if np.any(mesh.edge_elems[interior, 1] < 0):
         raise RuntimeError("interior edge missing its second adjacent element")
-    t, w = fem.edge_quadrature_3pt()
-    plus, _ = _edge_tractions(mesh, material, U, interior, 0, t)
-    minus, _ = _edge_tractions(mesh, material, U, interior, 1, t)
-    jump = plus + minus
-    sq = np.einsum("eqc,eqc->eq", jump, jump)
-    values[interior] = mesh.edge_length[interior] ** 2 * (sq @ w)
+    sigma, _ = _vertex_stresses(mesh, material, U)
+    e0, v0 = _end_vertices(mesh, interior, 0)
+    e1, v1 = _end_vertices(mesh, interior, 1)
+    _, normal = meshmod.edge_trace(mesh, interior, np.empty(0))
+    jump = _traction(sigma[e0[:, None], v0] - sigma[e1[:, None], v1], normal)
+    a, b = jump[:, 0], jump[:, 1]
+    sq = np.einsum("ec,ec->e", a, a + b) + np.einsum("ec,ec->e", b, b)
+    values[interior] = mesh.edge_length[interior] ** 2 / 3.0 * sq
     return values
 
 
@@ -159,8 +149,12 @@ def neumann_residual(mesh: meshmod.Mesh, material: fem.Material, U: np.ndarray,
     if len(neumann) == 0:
         return values
     t, w = fem.edge_quadrature_3pt()
-    flux, normals = _edge_tractions(mesh, material, U, neumann, 0, t)
-    residual = -flux
+    elems, ends = _end_vertices(mesh, neumann, 0)
+    sigma, _ = _vertex_stresses(mesh, material, U, elems)
+    sigma = np.take_along_axis(sigma, ends[:, :, None], axis=1)
+    sigma = sigma[:, :1] + t[None, :, None] * (sigma[:, 1:] - sigma[:, :1])
+    _, normals = meshmod.edge_trace(mesh, neumann, np.empty(0))
+    residual = -_traction(sigma, normals)
     if traction is not None:
         pts = meshmod.edge_points(mesh, neumann, t)
         residual += np.array([traction(p, n) for p, n in zip(pts, normals)], dtype=float)

@@ -209,30 +209,6 @@ def shape_functions(family: str, ref_point) -> tuple[np.ndarray, np.ndarray]:
     return values[0], grads[0]
 
 
-def shape_function_hessians(family: str) -> np.ndarray:
-    """Second derivatives in reference coordinates, shape (n, 2, 2).
-
-    All three families have constant reference Hessians, which keeps the
-    divergence of the discrete stress constant on affine elements.
-    """
-    check_family(family)
-    if family == "p1":
-        return np.zeros((3, 2, 2))
-    if family == "p2":
-        h = np.zeros((6, 2, 2))
-        h[0] = [[4.0, 4.0], [4.0, 4.0]]
-        h[1] = [[4.0, 0.0], [0.0, 0.0]]
-        h[2] = [[0.0, 0.0], [0.0, 4.0]]
-        h[3] = [[-8.0, -4.0], [-4.0, 0.0]]
-        h[4] = [[0.0, 4.0], [4.0, 0.0]]
-        h[5] = [[0.0, -4.0], [-4.0, -8.0]]
-        return h
-    h = np.zeros((4, 2, 2))
-    for i, (sx, sy) in enumerate(REF_CORNERS["q1"]):
-        h[i, 0, 1] = h[i, 1, 0] = 0.25 * sx * sy
-    return h
-
-
 def gradients_physical(family: str, coords: np.ndarray, points: np.ndarray):
     """Shape values, physical gradients and Jacobian determinants, batched.
 
@@ -247,7 +223,7 @@ def gradients_physical(family: str, coords: np.ndarray, points: np.ndarray):
 def inverse_jacobian(coords: np.ndarray, dref: np.ndarray):
     """Inverse (m, 2, 2) and determinant (m,) of the reference map's Jacobian.
 
-    coords and reference gradients dref are (m, k, 2), one point per element.
+    coords (m, k, 2); reference gradients dref (m, k, 2), or (k, 2) for all.
     A singular Jacobian returns its adjugate, so callers can report det = 0.
     """
     jac = np.swapaxes(coords, 1, 2) @ dref

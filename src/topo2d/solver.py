@@ -1,8 +1,7 @@
 """Global assembly of density-penalized stiffness, load vectors and solves.
 
 Dirichlet conditions are enforced by elimination: the system is reduced to
-free degrees of freedom, solved with a sparse direct factorization (a
-diagonally preconditioned conjugate-gradient fallback is available), and
+free degrees of freedom, solved with a sparse direct factorization, and
 expanded back.
 
 Every solve reduces K through StiffnessAssembler, which fixes the CSC
@@ -257,8 +256,8 @@ class StiffnessAssembler:
         n = len(self.free)
         return sp.csc_matrix((data[:nnz], self._indices, self._indptr), shape=(n, n))
 
-    def solve(self, x: np.ndarray, penal: float, method: str = "direct") -> SolveResult:
-        return solve(self.global_system(x, penal), method)
+    def solve(self, x: np.ndarray, penal: float) -> SolveResult:
+        return solve(self.global_system(x, penal))
 
     def strain_energies(self, U: np.ndarray) -> np.ndarray:
         """Per-element u_e^T K0_e u_e at unit density."""
@@ -300,7 +299,7 @@ def _relative_residual(K: sp.csc_matrix, u: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(K @ u - b) / (norm_b if norm_b > 0.0 else 1.0))
 
 
-def _solve_reduced(K_ff: sp.csc_matrix, rhs: np.ndarray, method: str, asm):
+def _solve_reduced(K_ff: sp.csc_matrix, rhs: np.ndarray, asm):
     """Solve asm's K_ff u = rhs; returns (u, relative residual) once the checks pass.
 
     Residual comparisons are written as ``not resid <= tol`` so that a NaN
@@ -308,59 +307,40 @@ def _solve_reduced(K_ff: sp.csc_matrix, rhs: np.ndarray, method: str, asm):
     """
     if K_ff.shape[0] == 0:
         raise ValueError("all degrees of freedom are constrained")
-    if method == "direct":
-        try:
-            # K_ff is SPD, so diagonal pivots are stable, as in Cholesky; row
-            # swaps would only let the fill grow with the design's contrast
-            lu = spla.splu(K_ff, permc_spec=asm._permc_spec, diag_pivot_thresh=0.0)
-        except RuntimeError as exc:
-            raise SingularSystemError(f"direct factorization failed: {exc}") from exc
-        if asm._permc_spec != "NATURAL":
-            asm._perm_c = lu.perm_c.copy()
-        # a zero rhs would mask a (numerically) singular factorization, so
-        # probe the factor with a fixed right-hand side in that case
-        zero_rhs = not np.any(rhs)
-        probe = np.sin(np.arange(1, len(rhs) + 1, dtype=float)) if zero_rhs else rhs
-        u = lu.solve(probe)
-        resid = _relative_residual(K_ff, u, probe)
-        if not np.all(np.isfinite(u)) or not resid <= RESIDUAL_TOL:
-            pivots = np.abs(lu.U.diagonal())
-            smallest = float(pivots.min()) if len(pivots) else 0.0
-            raise SingularSystemError(
-                "reduced system is singular or ill-conditioned "
-                f"(smallest pivot {smallest:.3e}, probe residual {resid:.3e})"
-            )
-        return (np.zeros_like(rhs), 0.0) if zero_rhs else (u, resid)
-    if method == "cg":
-        diag = K_ff.diagonal()
-        if np.any(diag <= 0.0):
-            raise SingularSystemError("non-positive diagonal entry; cg needs an SPD system")
-        precond = spla.LinearOperator(K_ff.shape, matvec=lambda v: v / diag)
-        maxiter = 10 * K_ff.shape[0]
-        u, info = spla.cg(K_ff, rhs, rtol=1e-10, atol=0.0, maxiter=maxiter, M=precond)
-        if info != 0:
-            raise SingularSystemError(
-                f"cg failed to converge within {maxiter} iterations (info={info})"
-            )
-        resid = _relative_residual(K_ff, u, rhs)
-        if not resid <= RESIDUAL_TOL:
-            raise SingularSystemError(f"solve residual {resid:.3e} exceeds {RESIDUAL_TOL:g}")
-        return u, resid
-    raise ValueError(f"unknown solve method {method!r}")
+    try:
+        # K_ff is SPD, so diagonal pivots are stable, as in Cholesky; row
+        # swaps would only let the fill grow with the design's contrast
+        lu = spla.splu(K_ff, permc_spec=asm._permc_spec, diag_pivot_thresh=0.0)
+    except RuntimeError as exc:
+        raise SingularSystemError(f"direct factorization failed: {exc}") from exc
+    if asm._permc_spec != "NATURAL":
+        asm._perm_c = lu.perm_c.copy()
+    # a zero rhs would mask a (numerically) singular factorization, so
+    # probe the factor with a fixed right-hand side in that case
+    zero_rhs = not np.any(rhs)
+    probe = np.sin(np.arange(1, len(rhs) + 1, dtype=float)) if zero_rhs else rhs
+    u = lu.solve(probe)
+    resid = _relative_residual(K_ff, u, probe)
+    if not np.all(np.isfinite(u)) or not resid <= RESIDUAL_TOL:
+        pivots = np.abs(lu.U.diagonal())
+        smallest = float(pivots.min()) if len(pivots) else 0.0
+        raise SingularSystemError(
+            "reduced system is singular or ill-conditioned "
+            f"(smallest pivot {smallest:.3e}, probe residual {resid:.3e})"
+        )
+    return (np.zeros_like(rhs), 0.0) if zero_rhs else (u, resid)
 
 
-def solve(system: GlobalSystem, method: str = "direct",
-          prescribed: np.ndarray | None = None) -> SolveResult:
+def solve(system: GlobalSystem, prescribed: np.ndarray | None = None) -> SolveResult:
     """Solve K U = F with constrained dofs eliminated.
 
-    The direct path factorizes with SuperLU (deterministic for identical
-    inputs); "cg" runs diagonally preconditioned conjugate gradients with
-    rtol 1e-10. Raises SingularSystemError when the reduced system is
-    singular or the residual check fails.
+    SuperLU factorizes the reduced system (deterministic for identical
+    inputs). Raises SingularSystemError when the reduced system is singular
+    or the residual check fails.
     """
     asm = system.assembler
     K_ff, rhs, free = apply_dirichlet(system, prescribed)
-    u_f, residual_norm = _solve_reduced(K_ff, rhs, method, asm)
+    u_f, residual_norm = _solve_reduced(K_ff, rhs, asm)
     U = np.zeros(asm.ndof)
     U[free] = u_f
     if prescribed is not None:

@@ -559,3 +559,19 @@ def test_config_round_trip(tmp_path_factory, cfg):
     path.write_text(_config_lines(cfg))
     values = parse_config_file(path)
     assert resolve_config({"quiet": cfg.quiet}, values) == cfg
+
+
+def test_sweep_refuses_load_on_support_before_running(tmp_path, capsys):
+    # the load node is found on the line's mesh, so that mesh is built and
+    # checked before the first run writes anything
+    sweep = tmp_path / "lines.txt"
+    sweep.write_text("problem=cantilever nx=6 ny=4 max-iters=1\n"
+                     "problem=bridge elem=p1 nx=1 ny=1 max-iters=1\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["--sweep", str(sweep), "--jobs", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == ("error: bridge: the load node 0 is also a support "
+                                       "on this mesh; use a finer grid\n")
+    assert not (out / "run_000").exists()

@@ -440,3 +440,19 @@ def test_estimate_invariant_under_element_relabeling(family, tri, seed):
     after = estimate(classify_boundary(relabeled, case), U, MAT, case)
     np.testing.assert_allclose(after.eta_global, before.eta_global, rtol=1e-12)
     np.testing.assert_allclose(after.local, before.local[perm], rtol=1e-12, atol=1e-14)
+
+
+def test_edge_terms_refuse_an_edge_its_element_does_not_own():
+    mesh = generate_mesh(DomainSpec(2.0, 2.0, 2, 2, triangulation="cross_split"), "p2")
+    mesh = classify_boundary(mesh, west_clamped(mesh))
+    U = np.zeros(2 * mesh.n_nodes)
+    interior = np.flatnonzero(mesh.edge_kind == INTERIOR)
+    for side in (0, 1):
+        elems = mesh.edge_elems.copy()
+        elems[interior, side] = np.roll(elems[interior, side], 1)
+        with pytest.raises(ValueError, match="is not an edge of element"):
+            jump_residual(dataclasses.replace(mesh, edge_elems=elems), MAT, U)
+    elems = mesh.edge_elems.copy()
+    elems[:, 0] = np.roll(elems[:, 0], 1)
+    with pytest.raises(ValueError, match="is not an edge of element"):
+        neumann_residual(dataclasses.replace(mesh, edge_elems=elems), MAT, U)
