@@ -356,7 +356,7 @@ def main(argv=None) -> int:
         cfg = resolve_config(flags, file_values)
         run(cfg)
         return 0
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         parser.exit(2, f"error: {exc}\n")
     except SolveError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

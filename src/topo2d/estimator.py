@@ -15,9 +15,10 @@ longest vertex-pair distances; h_e is the edge length.
 Evaluation exploits that all generated elements are affine images of the
 reference element (straight triangles, axis-aligned rectangles), on which
 sigma(u_h) is affine: its values at each element's own vertices give the
-constant stress divergence and every edge trace. The jump is linear along
-an edge and integrated in closed form from its two end values; the
-Neumann term samples g at 3 Gauss points per edge.
+constant stress divergence and, at the end vertices and outward normal
+that mesh.edge_ends finds, every edge trace. The jump is linear along an
+edge and integrated in closed form from its two end values; the Neumann
+term samples g at 3 Gauss points per edge.
 """
 
 from dataclasses import dataclass
@@ -67,20 +68,6 @@ def _vertex_stresses(mesh: meshmod.Mesh, material: fem.Material, U: np.ndarray,
     return strain @ fem.elasticity_matrix(material), inv
 
 
-def _end_vertices(mesh: meshmod.Mesh, edges: np.ndarray,
-                  side: int) -> tuple[np.ndarray, np.ndarray]:
-    """The side-th adjacent element of each edge, and the local vertex (m, 2)
-    of that element at each of the edge's two ends."""
-    elems = mesh.edge_elems[edges, side]
-    verts = mesh.conn[elems, :len(fem.REF_CORNERS[mesh.family])]
-    match = verts[:, None, :] == mesh.edge_nodes[edges][:, :, None]
-    found = match.any(axis=2).all(axis=1)
-    if not found.all():
-        bad = int(np.argmin(found))
-        raise ValueError(f"edge {edges[bad]} is not an edge of element {elems[bad]}")
-    return elems, match.argmax(2)
-
-
 def _traction(sigma: np.ndarray, normal: np.ndarray) -> np.ndarray:
     """sigma . n for stresses (m, q, 3) and one normal (m, 2) per row."""
     nx, ny = normal[:, None, 0], normal[:, None, 1]
@@ -122,18 +109,16 @@ def jump_residual(mesh: meshmod.Mesh, material: fem.Material,
 
     The jump (sigma_0 - sigma_1) n_0 does not depend on which side is
     first. It is linear along the edge, so with end values a and b the
-    integral is h_e^2 / 3 (|a|^2 + a.b + |b|^2).
+    integral is h_e^2 / 3 (|a|^2 + a.b + |b|^2). An interior edge without
+    a second element raises ValueError.
     """
     values = np.zeros(mesh.n_edges)
     interior = np.flatnonzero(mesh.edge_kind == meshmod.INTERIOR)
     if len(interior) == 0:
         return values
-    if np.any(mesh.edge_elems[interior, 1] < 0):
-        raise RuntimeError("interior edge missing its second adjacent element")
     sigma, _ = _vertex_stresses(mesh, material, U)
-    e0, v0 = _end_vertices(mesh, interior, 0)
-    e1, v1 = _end_vertices(mesh, interior, 1)
-    _, normal = meshmod.edge_trace(mesh, interior, np.empty(0))
+    e0, v0, normal = meshmod.edge_ends(mesh, interior, 0)
+    e1, v1, _ = meshmod.edge_ends(mesh, interior, 1)
     jump = _traction(sigma[e0[:, None], v0] - sigma[e1[:, None], v1], normal)
     a, b = jump[:, 0], jump[:, 1]
     sq = np.einsum("ec,ec->e", a, a + b) + np.einsum("ec,ec->e", b, b)
@@ -149,11 +134,10 @@ def neumann_residual(mesh: meshmod.Mesh, material: fem.Material, U: np.ndarray,
     if len(neumann) == 0:
         return values
     t, w = fem.edge_quadrature_3pt()
-    elems, ends = _end_vertices(mesh, neumann, 0)
+    elems, ends, normals = meshmod.edge_ends(mesh, neumann, 0)
     sigma, _ = _vertex_stresses(mesh, material, U, elems)
     sigma = np.take_along_axis(sigma, ends[:, :, None], axis=1)
     sigma = sigma[:, :1] + t[None, :, None] * (sigma[:, 1:] - sigma[:, :1])
-    _, normals = meshmod.edge_trace(mesh, neumann, np.empty(0))
     residual = -_traction(sigma, normals)
     if traction is not None:
         pts = meshmod.edge_points(mesh, neumann, t)
@@ -171,8 +155,8 @@ def estimate(mesh: meshmod.Mesh, U: np.ndarray, material: fem.Material,
     traction; point loads enter the load vector only and do not appear in
     edge data.
     """
-    body = getattr(case, "body_force", (0.0, 0.0)) if case is not None else (0.0, 0.0)
-    traction = getattr(case, "traction", None) if case is not None else None
+    body = getattr(case, "body_force", (0.0, 0.0))
+    traction = getattr(case, "traction", None)
 
     bulk = bulk_residual(mesh, material, U, body)
     jump = jump_residual(mesh, material, U)

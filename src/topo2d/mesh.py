@@ -3,7 +3,7 @@
 Generates bilinear quad grids and linear/quadratic triangulations (two- or
 four-way cell splits) with full edge topology, supports uniform red
 refinement of triangle meshes, boundary-edge classification against a load
-case, and legacy VTK export.
+case, one lookup of an edge in its elements (edge_ends), and VTK export.
 
 Node numbering is lexicographic by (y, x); auxiliary nodes (cell centers,
 refinement midpoints, quadratic midsides) are appended in deterministic
@@ -203,6 +203,7 @@ def _trapezoid_bounds(spec: DomainSpec, x: np.ndarray) -> tuple[np.ndarray, np.n
     t = x / spec.width
     return t * y_lo_right, spec.height + t * (y_hi_right - spec.height)
 
+
 def _passive_flags(spec: DomainSpec, family: str, nodes: np.ndarray, conn: np.ndarray) -> np.ndarray:
     n_el = conn.shape[0]
     if spec.shape != "trapezoid":
@@ -237,7 +238,7 @@ def _build_mesh(family: str, nodes: np.ndarray, conn: np.ndarray,
     edge_length = np.hypot(delta[:, 0], delta[:, 1])
     edge_kind = np.where(edge_elems[:, 1] < 0, NEUMANN, INTERIOR).astype(np.int8)
 
-    nv = 3 if family != "q1" else 4
+    nv = len(REF_CORNERS[family])
     verts = nodes[conn[:, :nv]]
     x, y = verts[..., 0], verts[..., 1]
     xn, yn = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
@@ -356,37 +357,47 @@ def edge_points(mesh: Mesh, edges: np.ndarray, t: np.ndarray) -> np.ndarray:
     return a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
 
 
+def edge_ends(mesh: Mesh, edges: np.ndarray,
+              side: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each edge's side-th adjacent element (m,), that element's local vertex
+    at each edge end (m, 2), and the unit normals (m, 2) pointing out of it.
+
+    Elements are counterclockwise, so the clockwise-rotated tangent points
+    outward when the element runs the edge from local vertex i to i + 1
+    (mod nv), and is negated otherwise. Raises ValueError when an end is not
+    a vertex of the element, when the ends are not adjacent (a q1 diagonal),
+    or when the edge has no side-th element.
+    """
+    edges = np.asarray(edges)
+    nv = len(REF_CORNERS[mesh.family])
+    elems = mesh.edge_elems[edges, side]
+    match = mesh.conn[elems, :nv][:, None, :] == mesh.edge_nodes[edges][:, :, None]
+    ends = match.argmax(axis=2)
+    step = (ends[:, 1] - ends[:, 0]) % nv
+    owned = (elems >= 0) & match.any(axis=2).all(axis=1) & ((step == 1) | (step == nv - 1))
+    if not owned.all():
+        bad = int(np.argmin(owned))
+        raise ValueError(f"edge {edges[bad]} is not an edge of element {elems[bad]}")
+
+    tang = mesh.nodes[mesh.edge_nodes[edges, 1]] - mesh.nodes[mesh.edge_nodes[edges, 0]]
+    normal = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    normal[step != 1] *= -1.0
+    return elems, ends, normal
+
+
 def edge_trace(mesh: Mesh, edges: np.ndarray, t: np.ndarray,
                side: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """The edges as seen from their side-th adjacent element.
 
     Returns the reference coordinates (m, q, 2) of edge_points(mesh, edges, t)
-    in that element and the unit normals (m, 2) pointing out of it. Elements
-    are counterclockwise, so the clockwise-rotated tangent of a local edge
-    points outward; an element running the edge against its stored
-    orientation sees it at 1 - t with the normal negated. Raises ValueError
-    when an edge is not an edge of the element listed for it.
+    in that element and the unit normals (m, 2) pointing out of it, both from
+    edge_ends: the reference corners at the edge's ends, in the edge's own
+    order, hold for either orientation. Raises ValueError as edge_ends does.
     """
-    local = np.asarray(LOCAL_EDGES[mesh.family])
-    elems = mesh.edge_elems[edges, side]
-    ends = mesh.conn[elems][:, local]
-    want = mesh.edge_nodes[edges][:, None, :]
-    forward = np.all(ends == want, axis=2)
-    match = forward | np.all(ends == want[..., ::-1], axis=2)
-    found = match.any(axis=1)
-    if not found.all():
-        bad = int(np.argmin(found))
-        raise ValueError(f"edge {np.asarray(edges)[bad]} is not an edge of element {elems[bad]}")
-    slot = np.argmax(match, axis=1)
-    reverse = ~forward[np.arange(len(slot)), slot]
-    corners = REF_CORNERS[mesh.family][local[slot]]
-    s = np.where(reverse[:, None], 1.0 - t, t)[..., None]
-    ref = corners[:, None, 0] + s * (corners[:, None, 1] - corners[:, None, 0])
-
-    tang = mesh.nodes[mesh.edge_nodes[edges, 1]] - mesh.nodes[mesh.edge_nodes[edges, 0]]
-    normal = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
-    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
-    normal[reverse] *= -1.0
+    _, ends, normal = edge_ends(mesh, edges, side)
+    corners = REF_CORNERS[mesh.family][ends]
+    ref = corners[:, None, 0] + t[None, :, None] * (corners[:, None, 1] - corners[:, None, 0])
     return ref, normal
 
 

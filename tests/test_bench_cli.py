@@ -374,6 +374,19 @@ def test_main_exit_codes(tmp_path, capsys):
         main(["--problem", "cantilever", "--triangulation", "fan"])
     assert exc.value.code == 2
 
+    # an unreadable config or sweep path, or an out path that is a file
+    taken = tmp_path / "taken.txt"
+    taken.write_text("")
+    for args in (["--config", str(tmp_path)], ["--sweep", str(tmp_path)],
+                 ["--out", str(taken)]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["--problem", "cantilever", "--nx", "6", "--ny", "4",
+                  "--max-iters", "1", "--quiet", *args])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
     # jobs is a flag only: a config file or sweep line naming it is refused
     cfg_file = tmp_path / "jobs.cfg"
     cfg_file.write_text("nx=6\nny=4\nmax-iters=1\njobs=2\n")
@@ -575,3 +588,15 @@ def test_sweep_refuses_load_on_support_before_running(tmp_path, capsys):
     assert capsys.readouterr().err == ("error: bridge: the load node 0 is also a support "
                                        "on this mesh; use a finer grid\n")
     assert not (out / "run_000").exists()
+
+
+def test_benchmark_selftest_estimate_workload(monkeypatch):
+    # the benchmark wraps topo2d functions by name to trace them; a tiny
+    # traced and untraced run of the estimating workload fails when one of
+    # those names is renamed or its checks no longer hold
+    bench_dir = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+    monkeypatch.syspath_prepend(bench_dir)
+    import run
+    import selftest
+
+    selftest.check_workload("estimate-q1-large", run.load_spec())

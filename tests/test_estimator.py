@@ -456,3 +456,13 @@ def test_edge_terms_refuse_an_edge_its_element_does_not_own():
     elems[:, 0] = np.roll(elems[:, 0], 1)
     with pytest.raises(ValueError, match="is not an edge of element"):
         neumann_residual(dataclasses.replace(mesh, edge_elems=elems), MAT, U)
+
+    # both ends of a q1 diagonal are vertices of the element, but not an edge
+    quad = generate_mesh(DomainSpec(2.0, 2.0, 2, 2), "q1")
+    quad = classify_boundary(quad, west_clamped(quad))
+    edge = np.flatnonzero(quad.edge_kind == NEUMANN)[0]
+    nodes = quad.edge_nodes.copy()
+    nodes[edge] = quad.conn[quad.edge_elems[edge, 0], [0, 2]]
+    with pytest.raises(ValueError, match="is not an edge of element"):
+        neumann_residual(dataclasses.replace(quad, edge_nodes=nodes), MAT,
+                         np.zeros(2 * quad.n_nodes))

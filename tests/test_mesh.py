@@ -153,8 +153,14 @@ def test_edge_trace_against_inverse_map(family, tri, refine):
             assert np.all(np.einsum("mc,mc->m", normal, mid - mesh.centroids[elems]) > 0.0)
 
     wrong = dataclasses.replace(base, edge_elems=np.roll(base.edge_elems, 1, axis=0))
-    with pytest.raises(ValueError, match="is not an edge of element"):
-        edge_trace(wrong, np.arange(base.n_edges), t)
+    # a boundary edge has no second element: the -1 in that slot must refuse,
+    # not index the last element (which owns two of them on q1 grids)
+    boundary = np.flatnonzero(base.edge_elems[:, 1] < 0)
+    owner = base.edge_elems[boundary, 0]
+    last = boundary[owner == owner.max()]
+    for mesh, edges, side in ((wrong, np.arange(base.n_edges), 0), (base, last, 1)):
+        with pytest.raises(ValueError, match="is not an edge of element"):
+            edge_trace(mesh, edges, t, side)
 
 
 def test_trapezoid_passive_q1_matches_centroid_oracle():
