@@ -2,8 +2,11 @@
 
 Options resolve in precedence order: explicit flags > sweep line > config
 file > preset defaults. Config files are flat key=value text mirroring the
-flags; a sweep file holds one such assignment list per line and its runs
-execute in a parallel worker pool with isolated output directories.
+flags; a sweep file holds one such assignment list per line. Its runs
+execute in one worker pool of min(lines, --jobs or half the cores) workers
+(--jobs at least 0), each into its own output directory. A failing line
+does not stop the others: every line runs, then the sweep exits 1 with no
+combined report.
 """
 
 import argparse
@@ -235,8 +238,7 @@ def run(cfg: RunConfig) -> RunReport:
                 path = os.path.join(snap_dir, f"iter_{loop:04d}.pgm")
                 export.write_pgm(export.density_raster(mesh, densities), path)
 
-    result = optimize(mesh, case, material, simp, callback=callback,
-                      log=None if cfg.quiet else print)
+    result = optimize(mesh, case, material, simp, callback=callback, log=say)
     say(f"finished after {result.iterations} iterations, "
         f"objective {result.compliance:.6f}")
 
@@ -284,14 +286,12 @@ def run(cfg: RunConfig) -> RunReport:
     )
 
 
-def _sweep_worker(task):
-    index, cfg = task
-    report = run(cfg)
-    return index, report
-
-
 def run_sweep(sweep_path, flags: dict, jobs: int, file_values: dict | None = None) -> list:
-    """Run every sweep line, layered over the config-file entries, in a worker pool."""
+    """Run every sweep line, layered over the config-file entries, in one worker pool.
+
+    A failed run's error is raised once every line has run, before the
+    combined report is written.
+    """
     configs = []
     file_values = file_values or {}
     base_out = flags.get("out") or file_values.get("out", RunConfig.out)
@@ -304,39 +304,31 @@ def run_sweep(sweep_path, flags: dict, jobs: int, file_values: dict | None = Non
         # every line, its mesh and load case too, is checked before the
         # first run writes anything
         prepare(cfg)
-        index = len(configs)
-        cfg.out = os.path.join(base_out, f"run_{index:03d}")
+        cfg.out = os.path.join(base_out, f"run_{len(configs):03d}")
         cfg.quiet = True
         configs.append(cfg)
 
     if not configs:
         raise ValueError(f"sweep file {sweep_path} contains no runs")
-    workers = jobs if jobs > 0 else min(len(configs), max(1, cpu_count() // 2))
-    if workers == 1 or len(configs) == 1:
-        reports = [_sweep_worker(task) for task in enumerate(configs)]
-    else:
-        with Pool(workers) as pool:
-            reports = pool.map(_sweep_worker, enumerate(configs))
-    reports.sort(key=lambda item: item[0])
+    with Pool(min(len(configs), jobs or max(1, cpu_count() // 2))) as pool:
+        reports = pool.map(run, configs)
 
     combined = os.path.join(base_out, "sweep_report.csv")
     if os.path.exists(combined):
         os.remove(combined)
-    for index, report in reports:
-        breakdown = report.breakdown
+    for index, report in enumerate(reports):
         export.append_report(
             combined,
             export.report_row(report.family, report.n_elements,
-                              report.compliance, report.iterations, breakdown),
+                              report.compliance, report.iterations, report.breakdown),
         )
-    for index, report in reports:
         print(
             f"run_{index:03d}: {report.config['problem']} {report.family} "
             f"{report.n_elements} elements, objective {report.compliance:.6f}, "
             f"{report.iterations} iterations"
         )
     print(f"combined report: {combined}")
-    return [report for _, report in reports]
+    return reports
 
 
 def main(argv=None) -> int:
@@ -346,22 +338,21 @@ def main(argv=None) -> int:
     config_path = flags.pop("config", None)
     sweep_path = flags.pop("sweep", None)
     jobs = flags.pop("jobs", None) or 0
+    if jobs < 0:
+        parser.exit(2, f"error: --jobs must be at least 0 (got {jobs})\n")
 
     try:
         file_values = parse_config_file(config_path) if config_path else None
         if sweep_path:
-            run_sweep(sweep_path, {k: v for k, v in flags.items() if v is not None}, jobs,
-                      file_values)
-            return 0
-        cfg = resolve_config(flags, file_values)
-        run(cfg)
+            run_sweep(sweep_path, flags, jobs, file_values)
+        else:
+            run(resolve_config(flags, file_values))
         return 0
     except (ValueError, OSError) as exc:
         parser.exit(2, f"error: {exc}\n")
     except SolveError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -174,11 +174,16 @@ def _unique_edges(conn: np.ndarray, local=LOCAL_EDGES["p1"]):
     return pairs, inverse.reshape(conn.shape[0], len(local)), first, second
 
 
+def _with_midpoints(points: np.ndarray, tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The points with every edge's midpoint appended, and the midpoint ids
+    (E, 3) of each triangle's local edges (0,1), (1,2), (2,0)."""
+    pairs, slots, _, _ = _unique_edges(tris)
+    return np.vstack([points, points[pairs].mean(axis=1)]), len(points) + slots
+
+
 def _refine_triangulation(points: np.ndarray, tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One red refinement sweep: each triangle becomes 4 congruent children."""
-    pairs, slots, _, _ = _unique_edges(tris)
-    mids = len(points) + slots  # (E, 3): midpoint ids per local edge
-    points2 = np.vstack([points, points[pairs].mean(axis=1)])
+    points2, mids = _with_midpoints(points, tris)
     v0, v1, v2 = tris.T
     m01, m12, m20 = mids.T
     children = np.empty((4 * len(tris), 3), dtype=np.int64)
@@ -189,10 +194,12 @@ def _refine_triangulation(points: np.ndarray, tris: np.ndarray) -> tuple[np.ndar
     return points2, children
 
 
-def _p2_connectivity(points: np.ndarray, tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    pairs, slots, _, _ = _unique_edges(tris)
-    mids = len(points) + slots
-    nodes = np.vstack([points, points[pairs].mean(axis=1)])
+def _triangle_family(family: str, points: np.ndarray,
+                     tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and connectivity of the p1 or p2 mesh on a triangulation."""
+    if family == "p1":
+        return points, tris
+    nodes, mids = _with_midpoints(points, tris)
     return nodes, np.hstack([tris, mids])
 
 
@@ -289,10 +296,7 @@ def generate_mesh(spec: DomainSpec, family: str) -> Mesh:
             points, tris = _cross_split(points, spec.nx, spec.ny)
         for _ in range(spec.refine_level):
             points, tris = _refine_triangulation(points, tris)
-        if family == "p2":
-            nodes, conn = _p2_connectivity(points, tris)
-        else:
-            nodes, conn = points, tris
+        nodes, conn = _triangle_family(family, points, tris)
 
     passive = _passive_flags(spec, family, nodes, conn)
     return _build_mesh(family, nodes, conn, passive, spec)
@@ -309,16 +313,8 @@ def refine_uniform(mesh: Mesh) -> Mesh:
             "refine_uniform applies to triangle meshes; regenerate q1 grids "
             "from a DomainSpec with a higher refine_level"
         )
-    if mesh.family == "p2":
-        points = mesh.nodes[: mesh.n_vertices]
-        tris = mesh.conn[:, :3]
-    else:
-        points, tris = mesh.nodes, mesh.conn
-    points, tris = _refine_triangulation(points, tris)
-    if mesh.family == "p2":
-        nodes, conn = _p2_connectivity(points, tris)
-    else:
-        nodes, conn = points, tris
+    points, tris = _refine_triangulation(mesh.nodes[:mesh.n_vertices], mesh.conn[:, :3])
+    nodes, conn = _triangle_family(mesh.family, points, tris)
     spec = dataclasses.replace(mesh.spec, refine_level=mesh.spec.refine_level + 1)
     return _build_mesh(mesh.family, nodes, conn, np.repeat(mesh.passive, 4), spec)
 

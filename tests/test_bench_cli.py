@@ -400,6 +400,17 @@ def test_main_exit_codes(tmp_path, capsys):
         assert exc.value.code == 2
         assert capsys.readouterr().err == "error: unknown option 'jobs'\n"
 
+    # a negative worker count is refused, not read as "auto"
+    sweep = tmp_path / "valid_sweep.txt"
+    sweep.write_text("nx=6 ny=4 max-iters=1\n")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["--problem", "cantilever", "--sweep", str(sweep), "--jobs", "-1",
+              "--out", str(tmp_path / "negative_jobs")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: --jobs must be at least 0 (got -1)\n"
+    assert not (tmp_path / "negative_jobs").exists()
+
     # a sweep sets each run's out and quiet itself, so a sweep line naming
     # either is refused before any run writes
     for key, value in (("out", str(tmp_path / "line_out")), ("quiet", "false")):
@@ -469,7 +480,7 @@ def test_main_bisection_failure_exits_one(tmp_path, monkeypatch, capsys):
     assert "bisection" in err and "Traceback" not in err
 
 
-def test_sweep_runs_and_combined_report(tmp_path, capsys):
+def _check_sweep_runs_and_combined_report(tmp_path, capsys, jobs):
     sweep = tmp_path / "sweep.txt"
     sweep.write_text(
         "# two tiny runs\n"
@@ -478,7 +489,7 @@ def test_sweep_runs_and_combined_report(tmp_path, capsys):
     )
     out = tmp_path / "out"
     rc = main(["--problem", "cantilever", "--sweep", str(sweep),
-               "--jobs", "1", "--out", str(out)])
+               "--jobs", jobs, "--out", str(out)])
     assert rc == 0
     assert (out / "run_000" / "report.csv").exists()
     assert (out / "run_001" / "report.csv").exists()
@@ -489,6 +500,68 @@ def test_sweep_runs_and_combined_report(tmp_path, capsys):
     assert rows[2][1] == "64"  # 4x4 cross-split cells
     captured = capsys.readouterr()
     assert "run_000" in captured.out and "run_001" in captured.out
+
+
+def test_sweep_runs_and_combined_report(tmp_path, capsys):
+    _check_sweep_runs_and_combined_report(tmp_path, capsys, "1")
+
+
+def test_sweep_runs_and_combined_report_with_two_workers(tmp_path, capsys):
+    # the same sweep through a real two-worker pool
+    _check_sweep_runs_and_combined_report(tmp_path, capsys, "2")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_runs_every_line_then_reports_a_failure(tmp_path, capsys, jobs):
+    # x ** 1e6 underflows to 0, so the first line's solve is exactly
+    # singular; the second line still runs, with one pool or worker count
+    sweep = tmp_path / "sweep.txt"
+    sweep.write_text("nx=6 ny=4 max-iters=2 penal=1e6\nnx=6 ny=4 max-iters=2\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = main(["--problem", "cantilever", "--sweep", str(sweep),
+               "--jobs", jobs, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == ("solver failure: direct factorization failed: "
+                                       "Factor is exactly singular\n")
+    assert (out / "run_001" / "report.csv").exists()
+    assert not (out / "sweep_report.csv").exists()
+
+
+class _RecordingPool:
+    """Stands in for multiprocessing.Pool: records the worker count asked
+    for and maps in-process."""
+
+    sizes = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, items):
+        return [func(item) for item in items]
+
+
+def test_sweep_pool_has_at_most_one_worker_per_line(tmp_path, monkeypatch):
+    from multiprocessing import cpu_count
+
+    import topo2d.cli
+
+    monkeypatch.setattr(topo2d.cli, "Pool", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    sweep = tmp_path / "sweep.txt"
+    sweep.write_text("nx=6 ny=4 max-iters=1\nnx=6 ny=4 max-iters=1 volfrac=0.3\n")
+    for jobs in ("64", "0"):
+        rc = main(["--problem", "cantilever", "--sweep", str(sweep),
+                   "--jobs", jobs, "--out", str(tmp_path / f"jobs{jobs}")])
+        assert rc == 0
+        assert (tmp_path / f"jobs{jobs}" / "sweep_report.csv").exists()
+    assert _RecordingPool.sizes == [2, min(2, max(1, cpu_count() // 2))]
 
 
 def test_sweep_lines_layer_over_config_file(tmp_path):

@@ -188,6 +188,35 @@ def test_estimate_totals_identity(family, tri):
     assert bd.eta_global > 0.0
 
 
+@pytest.mark.parametrize("family,nx,fix_all,absent", [("q1", 1, False, "jump"),
+                                                      ("p2", 2, True, "neumann")])
+def test_estimate_without_interior_or_neumann_edges(family, nx, fix_all, absent):
+    # a single q1 cell has no interior edge; a p2 mesh with every node fixed
+    # has no Neumann edge. The missing term is zero per edge and per element.
+    mesh = generate_mesh(DomainSpec(float(nx), 1.0, nx, 1), family)
+    fixed = np.arange(mesh.n_nodes) if fix_all else west_clamped(mesh)
+    mesh = classify_boundary(mesh, fixed)
+    kind = {"jump": INTERIOR, "neumann": NEUMANN}[absent]
+    assert not np.any(mesh.edge_kind == kind)
+    U = nodal_field(mesh, lambda x, y: x ** 2 * y, lambda x, y: x * y ** 2)
+    bd = estimate(mesh, U, MAT)
+
+    for name in ("bulk", "jump_by_element", "neumann_by_element", "local"):
+        assert getattr(bd, name).shape == (mesh.n_elements,)
+    assert bd.jump_edges.shape == bd.neumann_edges.shape == (mesh.n_edges,)
+    assert np.all(getattr(bd, f"{absent}_edges") == 0.0)
+    assert np.all(getattr(bd, f"{absent}_by_element") == 0.0)
+    assert getattr(bd, f"{absent}_total") == 0.0
+    present = "neumann" if absent == "jump" else "jump"
+    assert getattr(bd, f"{present}_total") > 0.0
+
+    np.testing.assert_allclose(
+        bd.local, bd.bulk + bd.jump_by_element + bd.neumann_by_element, rtol=1e-13)
+    np.testing.assert_allclose(
+        bd.local.sum(), bd.bulk_total + bd.jump_total + bd.neumann_total, rtol=1e-13)
+    np.testing.assert_allclose(bd.eta_global, np.sqrt(bd.local.sum()), rtol=1e-13)
+
+
 def test_zero_displacement_zero_estimate():
     mesh = generate_mesh(DomainSpec(2.0, 2.0, 2, 2), "q1")
     mesh = classify_boundary(mesh, west_clamped(mesh))
