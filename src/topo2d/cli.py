@@ -30,7 +30,7 @@ _TRIANGULATION = {"two": "two_split", "cross": "cross_split"}
 _MATERIAL = {"lame": "lame", "plane-stress": "plane_stress", "plane_stress": "plane_stress"}
 
 
-def _option(default, help=None, choices=None, minimum=None):
+def _option(default, help, choices=None, minimum=None):
     """A RunConfig field; help, choices and minimum feed the parser and validation."""
     return field(default=default,
                  metadata={"help": help, "choices": choices, "minimum": minimum})
@@ -42,31 +42,35 @@ class RunConfig:
     sweep lines, defaults and validation all read.
 
     A field's type coerces its flag or file value; metadata holds the
-    allowed values or the lower bound, and the help text. nx, ny and
-    volfrac default to the preset's when left None.
+    allowed values or the lower bound, and the help text, to which the
+    parser adds any default that is not None. nx, ny and volfrac default
+    to the preset's when left None.
     """
 
-    problem: str | None = _option(None, choices=tuple(sorted(PRESETS)))
-    elem: str = _option("q1", choices=("q1", "p1", "p2"))
-    nx: int | None = _option(None, "domain width in unit cells (and q1 grid)", minimum=1)
-    ny: int | None = _option(None, "domain height in unit cells (and q1 grid)", minimum=1)
+    problem: str | None = _option(None, "benchmark problem (required)", tuple(sorted(PRESETS)))
+    elem: str = _option("q1", "q1 quadrilaterals, or p1 or p2 triangles", ("q1", "p1", "p2"))
+    nx: int | None = _option(
+        None, "domain width in unit cells and q1 grid (default: the preset's)", minimum=1)
+    ny: int | None = _option(
+        None, "domain height in unit cells and q1 grid (default: the preset's)", minimum=1)
     grid: int | None = _option(
         None, "triangle grid subdivisions per side (default: nx by ny)", minimum=1)
-    triangulation: str = _option("cross", choices=tuple(_TRIANGULATION))
+    triangulation: str = _option(
+        "cross", "two triangles per grid cell, or cross: four", tuple(_TRIANGULATION))
     refine: int = _option(0, "uniform refinement levels", minimum=0)
-    volfrac: float | None = _option(None)
-    penal: float = _option(SimpConfig.penal)
-    rmin: float = _option(SimpConfig.rmin)
-    move: float = _option(SimpConfig.move)
-    conv_tol: float = _option(SimpConfig.conv_tol)
-    max_iters: int = _option(SimpConfig.max_iters, minimum=1)
-    material: str = _option("lame", choices=tuple(_MATERIAL))
-    estimate_error: bool = _option(False)
-    out: str = _option("out")
+    volfrac: float | None = _option(None, "target volume fraction (default: the preset's)")
+    penal: float = _option(SimpConfig.penal, "SIMP penalization exponent")
+    rmin: float = _option(SimpConfig.rmin, "filter radius in element sizes")
+    move: float = _option(SimpConfig.move, "largest density change per OC update")
+    conv_tol: float = _option(SimpConfig.conv_tol, "stop at this relative density change")
+    max_iters: int = _option(SimpConfig.max_iters, "iteration limit", minimum=1)
+    material: str = _option("lame", "lame (plane strain) or plane-stress", tuple(_MATERIAL))
+    estimate_error: bool = _option(False, "estimate the solid design's error (error_report.csv)")
+    out: str = _option("out", "output directory")
     bevel_ratio: float = _option(
         BEVEL_RIGHT_RATIO, "right-edge height as a fraction of the left (bevel only)")
     snapshot_every: int = _option(0, "write a density raster every N iterations", minimum=0)
-    quiet: bool = _option(False)
+    quiet: bool = _option(False, "print nothing but errors")
 
 
 _FIELDS = {f.name: f for f in fields(RunConfig)}
@@ -95,13 +99,14 @@ def build_parser() -> argparse.ArgumentParser:
         "a posteriori error estimation.",
     )
     for f in _FIELDS.values():
-        flag, kind = "--" + f.name.replace("_", "-"), _option_type(f)
+        flag, kind, help = "--" + f.name.replace("_", "-"), _option_type(f), f.metadata["help"]
         if kind is bool:
-            parser.add_argument(flag, action="store_true", default=None,
-                                help=f.metadata["help"])
-        else:
-            parser.add_argument(flag, type=kind, help=f.metadata["help"],
-                                choices=f.metadata["choices"])
+            parser.add_argument(flag, action="store_true", default=None, help=help)
+            continue
+        if f.default is not None:
+            shown = f"{f.default:g}" if kind is float else f.default
+            help += f" (default: {shown})"
+        parser.add_argument(flag, type=kind, help=help, choices=f.metadata["choices"])
     parser.add_argument("--config", help="key=value file supplying defaults for flags")
     parser.add_argument("--sweep", help="file with one key=value run per line")
     parser.add_argument("--jobs", type=int, help="parallel workers for --sweep")
@@ -147,7 +152,11 @@ def _coerce(key: str, value):
         if lowered in ("0", "false", "no", "off"):
             return False
         raise ValueError(f"option {key!r}: cannot parse boolean from {value!r}")
-    return target(value)
+    try:
+        return target(value)
+    except ValueError:
+        raise ValueError(
+            f"option {key!r}: cannot parse {target.__name__} from {value!r}") from None
 
 
 def resolve_config(flags: dict, file_values: dict | None = None) -> RunConfig:

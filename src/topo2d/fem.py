@@ -248,7 +248,7 @@ def _b_from_gradients(dphys: np.ndarray) -> np.ndarray:
     return b
 
 
-def b_matrix(family: str, coords, ref_point, elem_id=None) -> np.ndarray:
+def b_matrix(family: str, coords, ref_point) -> np.ndarray:
     """Strain-displacement matrix (3, 2k) at one reference point.
 
     Raises ValueError on a degenerate (non-positively oriented) element.
@@ -257,8 +257,7 @@ def b_matrix(family: str, coords, ref_point, elem_id=None) -> np.ndarray:
     point = np.asarray(ref_point, dtype=float)[None]
     _, dphys, det = gradients_physical(family, coords, point)
     if det[0] <= 0.0:
-        tag = "" if elem_id is None else f" {elem_id}"
-        raise ValueError(f"degenerate element{tag}: Jacobian determinant {det[0]:g}")
+        raise ValueError(f"degenerate element: Jacobian determinant {det[0]:g}")
     return _b_from_gradients(dphys)[0]
 
 

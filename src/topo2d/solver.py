@@ -7,13 +7,15 @@ expanded back.
 Every solve reduces K through StiffnessAssembler, which fixes the CSC
 pattern of the reduced matrix once per mesh together with the slot of every
 element-matrix entry in it; each assembly is one weighted bincount into that
-pattern. The full K is built only when GlobalSystem.K is read; prescribed
-values are lifted into the right-hand side element by element. An
-assembler's first SuperLU factorization orders by minimum degree on K + K^T;
-its second solve renumbers the free nodes in that order and rebuilds the
-pattern with the same builder, so later factorizations skip the ordering.
-asm.free, and the free_dofs of apply_dirichlet, stay in node pairs (x then
-y). StiffnessAssembler.solve and solve() share one sequence. Every solve is
+pattern. The pattern comes from numbered 2x2 node blocks that scipy lays out
+in CSC order; entries on a pinned node share one sentinel slot. The full K
+is built only when GlobalSystem.K is read; prescribed values are lifted
+into the right-hand side element by element. An assembler's first SuperLU
+factorization orders by minimum degree on K + K^T; its second solve
+renumbers the free nodes in that order and rebuilds the pattern with the
+same builder, so later factorizations skip the ordering. asm.free, and the
+free_dofs of apply_dirichlet, stay in node pairs (x then y).
+StiffnessAssembler.solve and solve() share one sequence. Every solve is
 checked once against its own relative residual; a zero right-hand side is
 checked by solving a fixed probe instead.
 """
@@ -185,47 +187,36 @@ class StiffnessAssembler:
         n_el, k = self.mesh.conn.shape
         nodes = self.free[0::2] // 2
         n_free = len(nodes)
-        free_node = np.zeros(self.mesh.n_nodes, dtype=bool)
-        free_node[nodes] = True
-        rank = np.zeros(self.mesh.n_nodes, dtype=np.int64)
+        rank = np.full(self.mesh.n_nodes, -1, dtype=np.int64)
         rank[nodes] = np.arange(n_free)
-        rank, ok = rank[self.mesh.conn], free_node[self.mesh.conn]
-        pair_ok = ok[:, :, None] & ok[:, None, :]
+        rank = rank[self.mesh.conn]
+        pair_ok = (rank[:, :, None] >= 0) & (rank[:, None, :] >= 0)
         # column-major keys sort node pairs by column node, then row node
         keys, pair = np.unique((rank[:, None, :] * n_free + rank[:, :, None])[pair_ok],
                                return_inverse=True)
-        col_node = keys // n_free
-        deg = np.bincount(col_node, minlength=n_free)
-        # dof column 2J+b holds the rows (2I, 2I+1) of each row node I of
-        # column J in turn, so the t-th pair of column J puts entry
-        # (2I+a, 2J+b) at 4*start[J] + 2*t + a + b*2*deg[J]
-        start = np.concatenate(([0], np.cumsum(deg)))
-        pos = 2 * (start[col_node] + np.arange(len(keys)))
-        step = 2 * deg[col_node]
+        # number the 4 entries of every block and let scipy lay them out: a
+        # block row of K^T is a CSC column of K, so block b holds the number
+        # of entry (2I+a, 2J+c) at [c, a]
         nnz = 4 * len(keys)
-        # pairs on a pinned node land in the two slots past the end
-        first = np.full((n_el, k, k), nnz, dtype=np.int64)
-        first[pair_ok] = pos[pair]
-        stride = np.zeros((n_el, k, k), dtype=np.int64)
-        stride[pair_ok] = step[pair]
-        # element dof (2p+a, 2q+b) flattens in the (p, a, q, b) order of k0
-        slot = np.empty((n_el, k, 2, k, 2), dtype=np.int64)
-        slot[:, :, 0, :, 0] = first
-        slot[:, :, 1, :, 0] = first + 1
-        slot[:, :, :, :, 1] = slot[:, :, :, :, 0] + stride[:, :, None, :]
-        self._slot = slot.ravel()
-
-        indices = np.empty(nnz, dtype=np.int64)
-        rows = 2 * (keys % n_free)
-        for a in (0, 1):
-            indices[pos + a] = rows + a
-            indices[pos + step + a] = rows + a
-        indptr = np.concatenate(([0], np.cumsum(np.repeat(2 * deg, 2))))
-        # let scipy choose the index dtype once, so that later matrices reuse
-        # the arrays as they are
-        pattern = sp.csc_matrix((np.zeros(nnz), indices, indptr),
-                                shape=(2 * n_free, 2 * n_free))
+        numbers = np.arange(nnz)
+        indptr = np.searchsorted(keys, n_free * np.arange(n_free + 1))
+        pattern = sp.bsr_matrix((numbers.reshape(-1, 2, 2), keys % n_free, indptr),
+                                shape=(2 * n_free, 2 * n_free)).tocsr()
+        # in scipy's own index dtype, so later matrices reuse them as they are
         self._indices, self._indptr = pattern.indices, pattern.indptr
+        # the inverse of the data permutation (numbers doubles as 0..nnz-1)
+        # is each entry's slot; pairs on a pinned node share the slot past
+        # the end, in block len(keys)
+        where = np.full(nnz + 4, nnz)
+        where[pattern.data] = numbers
+        del numbers, pattern
+        block = np.full((n_el, k, k), len(keys))
+        block[pair_ok] = pair
+        # element dof (2p+a, 2q+c) flattens in the (p, a, q, c) order of k0
+        slot = np.empty((n_el, k, 2, k, 2), dtype=np.int64)
+        for a, c in np.ndindex(2, 2):
+            slot[:, :, a, :, c] = where.reshape(-1, 2, 2)[:, c, a][block]
+        self._slot = slot.ravel()
 
     def _fold_order(self) -> None:
         """Renumber the free nodes in the first factorization's elimination order.
@@ -252,7 +243,7 @@ class StiffnessAssembler:
 
     def reduced_matrix(self, x: np.ndarray, penal: float) -> sp.csc_matrix:
         nnz = len(self._indices)
-        data = np.bincount(self._slot, weights=self.scaled_data(x, penal), minlength=nnz + 2)
+        data = np.bincount(self._slot, weights=self.scaled_data(x, penal), minlength=nnz + 1)
         n = len(self.free)
         return sp.csc_matrix((data[:nnz], self._indices, self._indptr), shape=(n, n))
 

@@ -443,6 +443,28 @@ def test_main_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "bridge" in err and "load node 0" in err
 
+    # a file value that does not parse names its option
+    cfg_file = tmp_path / "abc.cfg"
+    cfg_file.write_text("nx=abc\n")
+    sweep = tmp_path / "abc_sweep.txt"
+    sweep.write_text("nx=6 ny=4 max-iters=1 volfrac=abc\n")
+    for source, message in (
+            (["--config", str(cfg_file)], "option 'nx': cannot parse int from 'abc'"),
+            (["--sweep", str(sweep)], "option 'volfrac': cannot parse float from 'abc'")):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["--problem", "cantilever", "--quiet",
+                  "--out", str(tmp_path / "abc"), *source])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "abc").exists()
+
+
+def test_every_option_has_help():
+    for action in build_parser()._actions:
+        if action.dest != "help":
+            assert action.help, action.option_strings
+
 
 def test_option_lower_bounds_exit_two(tmp_path, capsys):
     # the bounds live in the option table and hold for flags and files alike

@@ -522,3 +522,48 @@ def test_unconstrained_stiffness_is_psd_with_rigid_null_space(family, tri, nx, n
     rigid[0::2, 2] = -mesh.nodes[:, 1]
     rigid[1::2, 2] = mesh.nodes[:, 0]
     assert np.abs(K @ rigid).max() <= 1e-10 * scale * max(nx, ny)
+
+
+def _free_node_pairs(conn, free_nodes):
+    """Ordered pairs (I, J) of free nodes that share an element, I == J included."""
+    free = set(free_nodes.tolist())
+    return {(i, j) for row in conn.tolist() for i in row for j in row
+            if i in free and j in free}
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(["q1", "p1", "p2"]),
+       tri=st.sampled_from(["two_split", "cross_split"]),
+       nx=st.integers(1, 4), ny=st.integers(1, 4), refine=st.integers(0, 1),
+       pinned=st.sampled_from(["none", "all but one", "some"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_reduced_pattern_under_arbitrary_supports(family, tri, nx, ny, refine, pinned,
+                                                  seed):
+    # the fixed reduced pattern holds exactly the 2x2 blocks of free node
+    # pairs that share an element, whichever nodes are pinned, and keeps
+    # doing so once the second solve has renumbered the free nodes
+    mesh = generate_mesh(DomainSpec(float(nx), float(ny), nx, ny, triangulation=tri,
+                                    refine_level=refine), family)
+    rng = np.random.default_rng(seed)
+    count = {"none": 0, "all but one": mesh.n_nodes - 1,
+             "some": rng.integers(0, mesh.n_nodes)}[pinned]
+    fixed = np.sort(rng.permutation(mesh.n_nodes)[:count])
+    corner = int(np.argmin(np.hypot(mesh.nodes[:, 0] - nx, mesh.nodes[:, 1] - ny)))
+    west = np.flatnonzero(np.isclose(mesh.nodes[:, 0], 0.0))
+    folded = np.setdiff1d(np.union1d(fixed, west), [corner])
+
+    for nodes, loads in ((fixed, ()), (folded, ((corner, 1.0, -1.0),))):
+        asm = StiffnessAssembler(mesh, MAT, LoadCase(fixed_nodes=nodes, point_loads=loads))
+        free = np.setdiff1d(np.arange(2 * mesh.n_nodes), constrained_dof_ids(asm.case))
+        if loads:
+            # the second solve folds the first factorization's order
+            for _ in range(2):
+                asm.solve(rng.uniform(0.05, 1.0, mesh.n_elements), 3.0)
+            assert asm._permc_spec == "NATURAL"
+            np.testing.assert_array_equal(np.sort(asm.free), free)
+        x = rng.uniform(0.05, 1.0, mesh.n_elements)
+        K = asm.reduced_matrix(x, 3.0)
+        assert K.has_canonical_format
+        assert K.nnz == 4 * len(_free_node_pairs(mesh.conn, free[0::2] // 2))
+        oracle = dense_assembly_oracle(mesh, MAT, x, 3.0)[np.ix_(asm.free, asm.free)]
+        np.testing.assert_allclose(K.toarray(), oracle, rtol=1e-12, atol=1e-12)
