@@ -4,22 +4,22 @@ Dirichlet conditions are enforced by elimination: the system is reduced to
 free degrees of freedom, solved with a sparse direct factorization, and
 expanded back.
 
-Every solve reduces K through StiffnessAssembler, which fixes the CSC
-pattern of the reduced matrix once per mesh together with the slot of every
-element-matrix entry in it; each assembly is one weighted bincount into that
-pattern. The pattern comes from numbered 2x2 node blocks that scipy lays out
-in CSC order; entries on a pinned node share one sentinel slot. The full K
-is built only when GlobalSystem.K is read; prescribed values are lifted
-into the right-hand side element by element. An assembler's first SuperLU
-factorization orders by minimum degree on K + K^T; its second solve
-renumbers the free nodes in that order and rebuilds the pattern with the
-same builder, so later factorizations skip the ordering. asm.free, and the
-free_dofs of apply_dirichlet, stay in node pairs (x then y).
+Every solve reduces K through StiffnessAssembler. At its first reduced
+matrix it numbers the free nodes once, in minimum degree order of their
+graph, and fixes the CSC pattern of the reduced matrix in that order
+together with the slot of every element-matrix entry in it. Each assembly
+is one weighted bincount into that pattern, and SuperLU factors every
+reduced matrix in NATURAL order. The pattern comes from numbered 2x2 node
+blocks that scipy lays out in CSC order; entries on a pinned node share one
+sentinel slot. asm.free, and the free_dofs of apply_dirichlet, stay in node
+pairs (x then y). The full K is built only when GlobalSystem.K is read;
+prescribed values are lifted into the right-hand side element by element.
 StiffnessAssembler.solve and solve() share one sequence. Every solve is
 checked once against its own relative residual; a zero right-hand side is
 checked by solving a fixed probe instead.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,8 +157,8 @@ class StiffnessAssembler:
     Element matrices are density independent; each assembly only rescales
     them by x^p and sums into sparse storage, so the optimizer pays the
     element integration cost once per mesh. The reduced (free-dof) matrix
-    keeps one CSC pattern for the life of the assembler, and _slot holds the
-    position of every element-matrix entry in that pattern's data array.
+    keeps one CSC pattern for the life of the assembler, built with the
+    position of every element-matrix entry in its data array.
     """
 
     def __init__(self, mesh: meshmod.Mesh, material: fem.Material, case: LoadCase):
@@ -172,28 +172,43 @@ class StiffnessAssembler:
 
         self.F = build_load_vector(mesh, case)
         self.constrained = constrained_dof_ids(case)
-        free_mask = np.ones(self.ndof, dtype=bool)
-        free_mask[self.constrained] = False
-        self.free = np.flatnonzero(free_mask)
-        self._build_reduced_pattern()
-        # column order of the first factorization, until _fold_order applies it
-        self._perm_c = None
-        self._permc_spec = "MMD_AT_PLUS_A"
+        if np.any((self.constrained < 0) | (self.constrained >= self.ndof)):
+            raise ValueError(f"fixed nodes must lie in [0, {mesh.n_nodes})")
 
-    def _build_reduced_pattern(self) -> None:
-        # Supports pin whole nodes, so free holds (x, y) pairs and the J-th
-        # free node owns reduced dofs 2J and 2J+1. The pattern is made of 2x2
-        # node blocks: only node pairs are sorted, a quarter of the dof pairs.
+    @property
+    def free(self) -> np.ndarray:
+        """Free dofs in elimination order, in (x, y) node pairs."""
+        return self._reduced_pattern[0]
+
+    @functools.cached_property
+    def _reduced_pattern(self):
+        """(free, indices, indptr, slot) of the reduced matrix, built once.
+
+        Supports pin whole nodes, so the pattern is made of 2x2 blocks of free
+        node pairs that share an element: only node pairs are sorted, a
+        quarter of the dof pairs.
+        """
         n_el, k = self.mesh.conn.shape
-        nodes = self.free[0::2] // 2
+        nodes = np.setdiff1d(np.arange(self.mesh.n_nodes), self.case.fixed_nodes)
         n_free = len(nodes)
         rank = np.full(self.mesh.n_nodes, -1, dtype=np.int64)
         rank[nodes] = np.arange(n_free)
         rank = rank[self.mesh.conn]
         pair_ok = (rank[:, :, None] >= 0) & (rank[:, None, :] >= 0)
-        # column-major keys sort node pairs by column node, then row node
         keys, pair = np.unique((rank[:, None, :] * n_free + rank[:, :, None])[pair_ok],
                                return_inverse=True)
+        # minimum degree needs only the graph: the incomplete LU of a
+        # diagonally dominant matrix on it finds the order without the fill
+        # of a full factor. perm holds each free node's new place.
+        rows, cols = keys % n_free, keys // n_free
+        graph = sp.csc_matrix((np.where(rows == cols, n_free, -1.0), (rows, cols)),
+                              shape=(n_free, n_free))
+        perm = spla.spilu(graph, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                          drop_tol=1.0, fill_factor=1.0).perm_c
+        nodes = nodes[np.argsort(perm)]
+        # column-major keys sort node pairs by column node, then row node
+        keys, renumbered = np.unique(perm[cols] * n_free + perm[rows], return_inverse=True)
+        pair = renumbered[pair]
         # number the 4 entries of every block and let scipy lay them out: a
         # block row of K^T is a CSC column of K, so block b holds the number
         # of entry (2I+a, 2J+c) at [c, a]
@@ -202,8 +217,8 @@ class StiffnessAssembler:
         indptr = np.searchsorted(keys, n_free * np.arange(n_free + 1))
         pattern = sp.bsr_matrix((numbers.reshape(-1, 2, 2), keys % n_free, indptr),
                                 shape=(2 * n_free, 2 * n_free)).tocsr()
-        # in scipy's own index dtype, so later matrices reuse them as they are
-        self._indices, self._indptr = pattern.indices, pattern.indptr
+        # in scipy's own index dtype, so every reduced matrix shares them as they are
+        indices, indptr = pattern.indices, pattern.indptr
         # the inverse of the data permutation (numbers doubles as 0..nnz-1)
         # is each entry's slot; pairs on a pinned node share the slot past
         # the end, in block len(keys)
@@ -216,24 +231,7 @@ class StiffnessAssembler:
         slot = np.empty((n_el, k, 2, k, 2), dtype=np.int64)
         for a, c in np.ndindex(2, 2):
             slot[:, :, a, :, c] = where.reshape(-1, 2, 2)[:, c, a][block]
-        self._slot = slot.ravel()
-
-    def _fold_order(self) -> None:
-        """Renumber the free nodes in the first factorization's elimination order.
-
-        Minimum degree eliminates a node's two dofs together, so a node takes
-        the place of its first dof. The builder makes fresh pattern arrays,
-        so matrices returned earlier keep the old ones.
-        """
-        if self._perm_c is None:
-            return
-        perm, self._perm_c = self._perm_c, None
-        order = np.argsort(np.minimum(perm[0::2], perm[1::2]))
-        self.free = self.free.reshape(-1, 2)[order].ravel()
-        # drop the old map before the builder allocates the new one
-        self._slot = None
-        self._build_reduced_pattern()
-        self._permc_spec = "NATURAL"
+        return (2 * nodes[:, None] + [0, 1]).ravel(), indices, indptr, slot.ravel()
 
     def scaled_data(self, x: np.ndarray, penal: float) -> np.ndarray:
         return (self.k0 * (x ** penal)[:, None, None]).ravel()
@@ -242,10 +240,10 @@ class StiffnessAssembler:
         return GlobalSystem(self, np.array(x, dtype=float), penal, self.F.copy())
 
     def reduced_matrix(self, x: np.ndarray, penal: float) -> sp.csc_matrix:
-        nnz = len(self._indices)
-        data = np.bincount(self._slot, weights=self.scaled_data(x, penal), minlength=nnz + 1)
-        n = len(self.free)
-        return sp.csc_matrix((data[:nnz], self._indices, self._indptr), shape=(n, n))
+        free, indices, indptr, slot = self._reduced_pattern
+        nnz = len(indices)
+        data = np.bincount(slot, weights=self.scaled_data(x, penal), minlength=nnz + 1)
+        return sp.csc_matrix((data[:nnz], indices, indptr), shape=(len(free), len(free)))
 
     def solve(self, x: np.ndarray, penal: float) -> SolveResult:
         return solve(self.global_system(x, penal))
@@ -265,24 +263,27 @@ def assemble(mesh: meshmod.Mesh, densities, penal: float,
 def apply_dirichlet(system: GlobalSystem, prescribed: np.ndarray | None = None):
     """Reduce the system to free dofs by elimination.
 
-    prescribed, when given, is a full-length vector whose values at the
-    constrained dofs lift into the right-hand side (zero otherwise). The
-    lift is taken element by element: each element adds x_e^p K0_e u_e, with
-    u zero off the constrained dofs, and the sum is kept on the free dofs.
-    Returns (K_ff, rhs, free_dofs), in the assembler's current dof order.
+    prescribed, when given, holds 2 * n_nodes finite values; those at the
+    constrained dofs lift into the right-hand side. The lift is taken element
+    by element: each element adds x_e^p K0_e u_e, with u zero off the
+    constrained dofs, and the sum is kept on the free dofs. Returns (K_ff,
+    rhs, free_dofs), in the assembler's elimination order asm.free.
     """
     asm = system.assembler
-    asm._fold_order()
-    rhs = np.asarray(system.F, dtype=float)[asm.free]
+    rhs = np.asarray(system.F, dtype=float)
     if prescribed is not None:
+        prescribed = np.asarray(prescribed, dtype=float)
+        if prescribed.shape != (asm.ndof,) or not np.all(np.isfinite(prescribed)):
+            raise ValueError(f"prescribed must hold {asm.ndof} finite values (2 per node), "
+                             f"got shape {prescribed.shape}")
         u_c = np.zeros(asm.ndof)
-        u_c[asm.constrained] = np.asarray(prescribed, dtype=float)[asm.constrained]
+        u_c[asm.constrained] = prescribed[asm.constrained]
         if np.any(u_c):
             f_e = (system.x ** system.penal)[:, None] * np.einsum(
                 "eij,ej->ei", asm.k0, u_c[asm.edofs])
-            rhs -= np.bincount(asm.edofs.ravel(), weights=f_e.ravel(),
-                               minlength=asm.ndof)[asm.free]
-    return asm.reduced_matrix(system.x, system.penal), rhs, asm.free
+            rhs = rhs - np.bincount(asm.edofs.ravel(), weights=f_e.ravel(),
+                                    minlength=asm.ndof)
+    return asm.reduced_matrix(system.x, system.penal), rhs[asm.free], asm.free
 
 
 def _relative_residual(K: sp.csc_matrix, u: np.ndarray, b: np.ndarray) -> float:
@@ -290,8 +291,8 @@ def _relative_residual(K: sp.csc_matrix, u: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(K @ u - b) / (norm_b if norm_b > 0.0 else 1.0))
 
 
-def _solve_reduced(K_ff: sp.csc_matrix, rhs: np.ndarray, asm):
-    """Solve asm's K_ff u = rhs; returns (u, relative residual) once the checks pass.
+def _solve_reduced(K_ff: sp.csc_matrix, rhs: np.ndarray):
+    """Solve K_ff u = rhs; returns (u, relative residual) once the checks pass.
 
     Residual comparisons are written as ``not resid <= tol`` so that a NaN
     residual fails them.
@@ -301,11 +302,9 @@ def _solve_reduced(K_ff: sp.csc_matrix, rhs: np.ndarray, asm):
     try:
         # K_ff is SPD, so diagonal pivots are stable, as in Cholesky; row
         # swaps would only let the fill grow with the design's contrast
-        lu = spla.splu(K_ff, permc_spec=asm._permc_spec, diag_pivot_thresh=0.0)
+        lu = spla.splu(K_ff, permc_spec="NATURAL", diag_pivot_thresh=0.0)
     except RuntimeError as exc:
         raise SingularSystemError(f"direct factorization failed: {exc}") from exc
-    if asm._permc_spec != "NATURAL":
-        asm._perm_c = lu.perm_c.copy()
     # a zero rhs would mask a (numerically) singular factorization, so
     # probe the factor with a fixed right-hand side in that case
     zero_rhs = not np.any(rhs)
@@ -331,7 +330,7 @@ def solve(system: GlobalSystem, prescribed: np.ndarray | None = None) -> SolveRe
     """
     asm = system.assembler
     K_ff, rhs, free = apply_dirichlet(system, prescribed)
-    u_f, residual_norm = _solve_reduced(K_ff, rhs, asm)
+    u_f, residual_norm = _solve_reduced(K_ff, rhs)
     U = np.zeros(asm.ndof)
     U[free] = u_f
     if prescribed is not None:
