@@ -6,6 +6,15 @@ rules, strain-displacement matrices and element stiffness integration.
 
 Strain uses the engineering Voigt convention (eps_xx, eps_yy, gamma_xy) and
 element displacement vectors interleave components as (u1x, u1y, u2x, ...).
+
+Element stiffness matrices (K0) are integrated for a whole mesh at once,
+without a loop over quadrature points: the Jacobians of every element at
+every point come from one matrix product, and each det J B^T A B term is the
+outer product of the scaled adjugate adj(J) / sqrt(det J) with itself,
+contracted first with the elasticity tensor written on displacement
+gradients and then with a constant per-family tensor of reference-gradient
+products. Both contractions are matrix products, and the second one gives
+the matrices in dof order.
 """
 
 from dataclasses import dataclass
@@ -256,9 +265,38 @@ def b_matrix(family: str, coords, ref_point) -> np.ndarray:
     coords = np.asarray(coords, dtype=float)[None]
     point = np.asarray(ref_point, dtype=float)[None]
     _, dphys, det = gradients_physical(family, coords, point)
-    if det[0] <= 0.0:
+    if not det[0] > 0.0:
         raise ValueError(f"degenerate element: Jacobian determinant {det[0]:g}")
     return _b_from_gradients(dphys)[0]
+
+
+def _elasticity_gradient_tensor(material: Material) -> np.ndarray:
+    """C[(c, d), (a, b)] = sum_IJ P[I, a, c] A[I, J] P[J, b, d], shape (4, 4).
+
+    P maps the displacement gradient du_a/dx_c to Voigt strain, so
+    sum_cd dN_i/dx_c C[c, d, a, b] dN_j/dx_d is entry (2i + a, 2j + b) of
+    B^T A B.
+    """
+    p = np.zeros((3, 2, 2))
+    p[0, 0, 0] = p[1, 1, 1] = p[2, 0, 1] = p[2, 1, 0] = 1.0
+    return np.einsum("iac,ij,jbd->cdab", p, elasticity_matrix(material), p).reshape(4, 4)
+
+
+def _reference_tensor(family: str, rule: QuadratureRule) -> np.ndarray:
+    """R[(a', b', q, x, y), (i, a, j, b)], shape (16 Q, 4 k^2).
+
+    R = w_q ref dN_i/dr_x dN_j/dr_y delta_aa' delta_bb' at the rule's points;
+    the columns are the dofs (2i + a, 2j + b) of the element matrix, in order.
+    """
+    _, dref = shape_functions_at(family, rule.points)
+    n_q, k = dref.shape[:2]
+    weights = rule.weights * REF_MEASURE[family]
+    block = np.einsum("q,qix,qjy->qxyij", weights, dref, dref)
+    tensor = np.zeros((2, 2, n_q, 2, 2, k, 2, k, 2))
+    for a in range(2):
+        for b in range(2):
+            tensor[a, b, :, :, :, :, a, :, b] = block
+    return tensor.reshape(16 * n_q, 4 * k * k)
 
 
 def element_stiffness_batch(
@@ -266,28 +304,64 @@ def element_stiffness_batch(
 ) -> np.ndarray:
     """Stiffness matrices for a batch of elements; coords (E, k, 2) -> (E, 2k, 2k).
 
-    Integration uses area-normalized weights, area_e * sum_i w_i B^T A B,
-    exact on affine elements (straight triangles, rectangles).
+    Integration uses area-normalized weights, area_e * sum_q w_q B^T A B,
+    exact on affine elements (straight triangles, rectangles). With J the
+    Jacobian at point q, det J B^T A B is the contraction of the outer
+    product of W = adj(J) / sqrt(det J) with itself against two constant
+    tensors, ``_elasticity_gradient_tensor`` C and ``_reference_tensor`` R.
+    The batch runs as three matrix products over all elements and points at
+    once, with the elements on the last axis: (2Q, k) @ (k, 2E) for the
+    Jacobians, (4, 4) @ (4, 4QE) for C against W (x) W, and
+    (4k^2, 16Q) @ (16Q, E) against R. One copy then lays the matrices out as
+    (E, 2k, 2k) in dof order (u1x, u1y, u2x, ...).
+
+    Raises ValueError if coords is not (E, k, 2) for the family's k nodes,
+    and names the lowest element whose Jacobian determinant is not positive
+    (or is NaN) at some quadrature point.
     """
     check_family(family)
     coords = np.asarray(coords, dtype=float)
+    k = ELEMENT_NODES[family]
+    if coords.ndim != 3 or coords.shape[1:] != (k, 2):
+        raise ValueError(
+            f"{family} elements have {k} nodes: expected coords of shape (E, {k}, 2), "
+            f"got {coords.shape}"
+        )
     if rule is None:
         rule = quadrature_rule(family)
-    amat = elasticity_matrix(material)
-    n_el, k, _ = coords.shape
-    ref = REF_MEASURE[family]
-    kmat = np.zeros((n_el, 2 * k, 2 * k))
-    for point, weight in zip(rule.points, rule.weights):
-        pts = np.broadcast_to(point, (n_el, 2))
-        _, dphys, det = gradients_physical(family, coords, pts)
-        if np.any(det <= 0.0):
-            bad = int(np.argmax(det <= 0.0))
-            raise ValueError(
-                f"degenerate element {bad}: Jacobian determinant {det[bad]:g}"
-            )
-        b = _b_from_gradients(dphys)
-        kmat += (weight * ref) * det[:, None, None] * (b.transpose(0, 2, 1) @ (amat @ b))
-    return kmat
+    n_el, n_q = len(coords), len(rule.weights)
+    _, dref = shape_functions_at(family, rule.points)
+    # elements run along the last axis: jac[q, x, a, e] = d x_a / d r_x
+    jac = (dref.transpose(0, 2, 1).reshape(2 * n_q, k)
+           @ coords.transpose(1, 2, 0).reshape(k, 2 * n_el)).reshape(n_q, 2, 2, n_el)
+    j00, j01, j10, j11 = jac[:, 0, 0], jac[:, 1, 0], jac[:, 0, 1], jac[:, 1, 1]
+    det = j00 * j11 - j01 * j10
+    bad = ~(det > 0.0)
+    if bad.any():
+        e = int(np.argmax(bad.any(axis=0)))
+        raise ValueError(
+            f"degenerate element {e}: Jacobian determinant {det[bad[:, e], e][0]:g}"
+        )
+    # adj[c, q, x, e] = adj(J)[x, c] / sqrt(det J), so that
+    # adj[c, x] adj[d, y] = det J inv(J)[x, c] inv(J)[y, d]
+    scale = 1.0 / np.sqrt(det)
+    adj = np.empty((2, n_q, 2, n_el))
+    np.multiply(j11, scale, out=adj[0, :, 0])
+    np.multiply(j10, -scale, out=adj[0, :, 1])
+    np.multiply(j01, -scale, out=adj[1, :, 0])
+    np.multiply(j00, scale, out=adj[1, :, 1])
+    outer = adj[:, None, :, :, None] * adj[None, :, :, None, :]
+    weighted = _elasticity_gradient_tensor(material).T @ outer.reshape(4, -1)
+    del outer
+    kmat_t = _reference_tensor(family, rule).T @ weighted.reshape(16 * n_q, n_el)
+    del weighted
+    # One transposing copy puts the elements first. Writing the product
+    # (E, 16Q) @ (16Q, 4k^2) straight into the output would skip it, but then
+    # no K0-sized block is freed here: glibc's malloc raises its mmap threshold
+    # only to the largest block freed so far, and the K0-sized array that every
+    # SIMP iteration builds (StiffnessAssembler.scaled_data) got fresh pages
+    # each time, 980 minor faults and +1.3 ms per opt-p1-bridge iteration.
+    return np.ascontiguousarray(kmat_t.T).reshape(n_el, 2 * k, 2 * k)
 
 
 def element_stiffness(

@@ -250,12 +250,13 @@ def _build_mesh(family: str, nodes: np.ndarray, conn: np.ndarray,
     x, y = verts[..., 0], verts[..., 1]
     xn, yn = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
     areas = 0.5 * np.sum(x * yn - xn * y, axis=1)
-    if np.any(areas <= 0.0):
-        bad = int(np.argmax(areas <= 0.0))
+    if not np.all(areas > 0.0):
+        bad = int(np.argmin(areas > 0.0))
         raise ValueError(f"element {bad} is not counterclockwise (area {areas[bad]:g})")
     centroids = verts.mean(axis=1)
-    diffs = verts[:, :, None, :] - verts[:, None, :, :]
-    diameters = np.sqrt((diffs ** 2).sum(axis=-1)).max(axis=(1, 2))
+    first_v, second_v = np.triu_indices(nv, 1)
+    diffs = verts[:, first_v] - verts[:, second_v]
+    diameters = np.sqrt((diffs ** 2).sum(axis=-1).max(axis=1))
 
     return Mesh(
         family=family,

@@ -695,3 +695,15 @@ def test_benchmark_selftest_estimate_workload(monkeypatch):
     import selftest
 
     selftest.check_workload("estimate-q1-large", run.load_spec())
+
+
+@pytest.mark.parametrize("workload", ["opt-p2-cantilever", "opt-p1-bridge"])
+def test_benchmark_selftest_opt_workloads(monkeypatch, workload):
+    # the same tiny traced and untraced runs on the optimizing workloads,
+    # which pin one K0 integration (fem.k0_calls) and one solve per iteration
+    bench_dir = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+    monkeypatch.syspath_prepend(bench_dir)
+    import run
+    import selftest
+
+    selftest.check_workload(workload, run.load_spec())

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from topo2d.fem import (ELEMENT_NODES, FAMILIES, Material, b_matrix,
+from topo2d.fem import (ELEMENT_NODES, FAMILIES, LOCAL_EDGES, REF_CORNERS,
+                        REF_MEASURE, Material, QuadratureRule, b_matrix,
                         edge_quadrature_3pt, elasticity_matrix,
                         element_stiffness, element_stiffness_batch,
                         gradients_physical, quad_quadrature_2x2,
@@ -135,7 +138,8 @@ def quad_stiffness_oracle(coords, material, n_gauss):
     """Gauss-Legendre stiffness for a single Q1 element.
 
     Uses its own bilinear shape derivatives rather than anything from the
-    package, so it cross-checks the production einsum path.
+    package, so it cross-checks the batched contraction in
+    element_stiffness_batch.
     """
     A = elasticity_matrix(material)
     g, w = np.polynomial.legendre.leggauss(n_gauss)
@@ -175,6 +179,78 @@ def test_q1_stiffness_general_quad_same_rule():
     K = element_stiffness("q1", skewed_quad(), mat)
     np.testing.assert_allclose(K, quad_stiffness_oracle(skewed_quad(), mat, 2),
                                rtol=1e-12, atol=1e-12)
+
+
+def stiffness_oracle(family, coords, material, rule):
+    """sum_q w_q ref det(J) B^T A B for one element, one point at a time."""
+    A = elasticity_matrix(material)
+    k = len(coords)
+    K = np.zeros((2 * k, 2 * k))
+    _, grads = shape_functions_at(family, rule.points)
+    for dref, weight in zip(grads, rule.weights):
+        J = coords.T @ dref
+        det = np.linalg.det(J)
+        assert det > 0.0
+        dphys = dref @ np.linalg.inv(J)
+        B = np.zeros((3, 2 * k))
+        B[0, 0::2] = dphys[:, 0]
+        B[1, 1::2] = dphys[:, 1]
+        B[2, 0::2] = dphys[:, 1]
+        B[2, 1::2] = dphys[:, 0]
+        K += weight * REF_MEASURE[family] * det * B.T @ A @ B
+    return K
+
+
+def reference_nodes(family):
+    corners = REF_CORNERS[family]
+    if family != "p2":
+        return corners.copy()
+    mids = [0.5 * (corners[i] + corners[j]) for i, j in LOCAL_EDGES["p2"]]
+    return np.vstack([corners, mids])
+
+
+def random_element(family, rng):
+    """A positively oriented element: a perturbed reference element under a
+    random orientation-preserving affine map. Q1 corners move by up to 0.3
+    (a convex non-parallelogram), P2 midside nodes by up to 0.04."""
+    nodes = reference_nodes(family)
+    if family == "q1":
+        nodes += rng.uniform(-0.3, 0.3, size=nodes.shape)
+    elif family == "p2":
+        nodes[3:] += rng.uniform(-0.04, 0.04, size=(3, 2))
+    th = rng.uniform(0.0, 2.0 * np.pi)
+    rot = np.array([(np.cos(th), -np.sin(th)), (np.sin(th), np.cos(th))])
+    shear = np.array([(rng.uniform(0.2, 3.0), rng.uniform(-1.0, 1.0)),
+                      (0.0, rng.uniform(0.2, 3.0))])
+    return nodes @ (rot @ shear).T + rng.uniform(-5.0, 5.0, size=2)
+
+
+def gauss_3x3():
+    g, w = np.polynomial.legendre.leggauss(3)
+    points = np.array([(x, y) for y in g for x in g])
+    return QuadratureRule(points, np.outer(w, w).ravel() / 4.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(FAMILIES),
+       model=st.sampled_from(["lame", "plane_stress"]),
+       dense=st.booleans(),
+       n_el=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_stiffness_batch_matches_pointwise_oracle(family, model, dense, n_el, seed):
+    # the per-element, per-point loop fixes the dof layout (u1x, u1y, u2x, ...)
+    # that the solver's scatter tables rely on
+    rng = np.random.default_rng(seed)
+    mat = Material(E=rng.uniform(0.5, 5.0), nu=rng.uniform(-0.5, 0.45), model=model)
+    rule = quadrature_rule(family)
+    if dense:
+        rule = gauss_3x3() if family == "q1" else tri_quadrature_7pt()
+    coords = np.stack([random_element(family, rng) for _ in range(n_el)])
+    K = element_stiffness_batch(family, coords, mat, rule=rule)
+    assert K.shape == (n_el, 2 * len(coords[0]), 2 * len(coords[0]))
+    assert K.flags.c_contiguous
+    oracle = np.stack([stiffness_oracle(family, c, mat, rule) for c in coords])
+    np.testing.assert_allclose(K, oracle, rtol=0.0, atol=1e-12 * np.abs(oracle).max())
 
 
 def test_p1_stiffness_constant_integrand():
@@ -297,6 +373,42 @@ def test_clockwise_quad_rejected():
     coords = np.array([(0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0)])
     with pytest.raises(ValueError):
         b_matrix("q1", coords, (0.0, 0.0))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_nan_element_rejected(family):
+    # NaN compares False with <= 0 as well as with > 0, so the orientation
+    # checks must accept only a positive determinant
+    coords = reference_nodes(family)
+    coords[2, 1] = np.nan
+    point = quadrature_rule(family).points[0]
+    with pytest.raises(ValueError, match="degenerate element 0: Jacobian determinant nan"):
+        element_stiffness_batch(family, coords[None], Material())
+    with pytest.raises(ValueError, match="degenerate element: Jacobian determinant nan"):
+        b_matrix(family, coords, point)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_batch_names_lowest_degenerate_element(family):
+    good = reference_nodes(family)
+    clockwise = good * np.array([1.0, -1.0])
+    nan = good.copy()
+    nan[0, 0] = np.nan
+    coords = np.stack([good, good + 1.0, clockwise, nan])
+    with pytest.raises(ValueError, match=r"degenerate element 2: Jacobian determinant -"):
+        element_stiffness_batch(family, coords, Material())
+    with pytest.raises(ValueError, match="degenerate element 3"):
+        element_stiffness_batch(family, np.stack([good, good, good, nan]), Material())
+
+
+def test_wrong_node_count_rejected():
+    tri = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+    with pytest.raises(ValueError, match=r"q1 elements have 4 nodes.*got \(1, 3, 2\)"):
+        element_stiffness("q1", tri, Material())
+    with pytest.raises(ValueError, match=r"p2 elements have 6 nodes.*got \(2, 3, 2\)"):
+        element_stiffness_batch("p2", np.stack([tri, tri]), Material())
+    with pytest.raises(ValueError, match=r"p1 elements have 3 nodes.*got \(3, 2\)"):
+        element_stiffness_batch("p1", tri, Material())
 
 
 def test_quadrature_rule_selector():

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from topo2d.fem import ELEMENT_NODES, edge_quadrature_3pt, reference_coords, shape_functions_at
 from topo2d.mesh import (DIRICHLET, INTERIOR, NEUMANN, SHAPES, TRIANGULATIONS,
-                         DomainSpec, boundary_node_ids, classify_boundary, edge_points,
-                         edge_trace, generate_mesh, nearest_node,
+                         DomainSpec, _build_mesh, boundary_node_ids, classify_boundary,
+                         edge_points, edge_trace, generate_mesh, nearest_node,
                          refine_uniform, write_vtk)
 from topo2d.presets import build_load_case, preset_domain_spec
 from topo2d.solver import LoadCase
@@ -198,6 +198,22 @@ def test_trapezoid_passive_triangles_all_vertices_outside():
         pts = mesh.nodes[mesh.conn[e, :3]]
         expect = all(above(p) for p in pts) or all(below(p) for p in pts)
         assert bool(mesh.passive[e]) == expect, e
+
+
+@pytest.mark.parametrize("family", ["q1", "p1", "p2"])
+def test_misoriented_or_nan_element_rejected(family):
+    mesh = generate_mesh(DomainSpec(3.0, 1.0, 3, 1), family)
+    nv = 4 if family == "q1" else 3
+    conn = mesh.conn.copy()
+    conn[2, :nv] = conn[2, nv - 1::-1]
+    with pytest.raises(ValueError, match=r"element 2 is not counterclockwise \(area -"):
+        _build_mesh(family, mesh.nodes, conn, mesh.passive, mesh.spec)
+    # NaN compares False with <= 0 as well as with > 0
+    nodes = mesh.nodes.copy()
+    nodes[mesh.conn[1, 0]] = np.nan
+    first = int(np.flatnonzero((mesh.conn == mesh.conn[1, 0]).any(axis=1))[0])
+    with pytest.raises(ValueError, match=f"element {first} is not counterclockwise \\(area nan"):
+        _build_mesh(family, nodes, mesh.conn, mesh.passive, mesh.spec)
 
 
 def test_refine_uniform_triangles():
@@ -393,6 +409,12 @@ def test_mesh_invariants(family, nx, ny, shape, tri, refine, width, height):
     # the elements tile the bounding rectangle, passive ones included
     assert np.all(mesh.areas > 0.0)
     assert mesh.areas.sum() == pytest.approx(width * height, rel=1e-12)
+
+    # the diameter is the longest distance between two vertices
+    verts = mesh.nodes[mesh.conn[:, :4 if family == "q1" else 3]]
+    pair_lengths = [np.sqrt(((verts[:, i] - verts[:, j]) ** 2).sum(axis=1))
+                    for i in range(verts.shape[1]) for j in range(i)]
+    np.testing.assert_array_equal(mesh.diameters, np.max(pair_lengths, axis=0))
 
     # an edge has one element on the rectangle's boundary, two distinct inside
     ends = mesh.nodes[mesh.edge_nodes]
