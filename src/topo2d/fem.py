@@ -257,12 +257,24 @@ def _b_from_gradients(dphys: np.ndarray) -> np.ndarray:
     return b
 
 
+def _check_coords(family: str, coords: np.ndarray) -> np.ndarray:
+    """coords itself, once it is (E, k, 2) for the family's k nodes."""
+    k = ELEMENT_NODES[check_family(family)]
+    if coords.ndim != 3 or coords.shape[1:] != (k, 2):
+        raise ValueError(
+            f"{family} elements have {k} nodes: expected coords of shape (E, {k}, 2), "
+            f"got {coords.shape}"
+        )
+    return coords
+
+
 def b_matrix(family: str, coords, ref_point) -> np.ndarray:
     """Strain-displacement matrix (3, 2k) at one reference point.
 
-    Raises ValueError on a degenerate (non-positively oriented) element.
+    Raises ValueError if coords is not (k, 2) for the family's k nodes, or
+    on a degenerate (non-positively oriented) element.
     """
-    coords = np.asarray(coords, dtype=float)[None]
+    coords = _check_coords(family, np.asarray(coords, dtype=float)[None])
     point = np.asarray(ref_point, dtype=float)[None]
     _, dphys, det = gradients_physical(family, coords, point)
     if not det[0] > 0.0:
@@ -319,14 +331,8 @@ def element_stiffness_batch(
     and names the lowest element whose Jacobian determinant is not positive
     (or is NaN) at some quadrature point.
     """
-    check_family(family)
-    coords = np.asarray(coords, dtype=float)
+    coords = _check_coords(family, np.asarray(coords, dtype=float))
     k = ELEMENT_NODES[family]
-    if coords.ndim != 3 or coords.shape[1:] != (k, 2):
-        raise ValueError(
-            f"{family} elements have {k} nodes: expected coords of shape (E, {k}, 2), "
-            f"got {coords.shape}"
-        )
     if rule is None:
         rule = quadrature_rule(family)
     n_el, n_q = len(coords), len(rule.weights)
@@ -375,7 +381,7 @@ def element_stiffness(
 
 def element_energies(kmat: np.ndarray, u_e: np.ndarray) -> np.ndarray:
     """Quadratic forms u_e^T K_e u_e for a batch; kmat (E, n, n), u_e (E, n)."""
-    return np.einsum("ei,eij,ej->e", u_e, kmat, u_e)
+    return np.einsum("ei,ei->e", (kmat @ u_e[:, :, None])[:, :, 0], u_e)
 
 
 def strain_energy(family: str, coords, material: Material, u_e) -> float:

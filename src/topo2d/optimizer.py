@@ -47,6 +47,9 @@ class SimpConfig:
             raise ValueError("penal must be at least 1")
         if self.rmin <= 0.0 or self.move <= 0.0 or self.damping <= 0.0:
             raise ValueError("rmin, move and damping must be positive")
+        if self.damping > 1.0:
+            # above one the OC step amplifies, and lam ** -damping can overflow
+            raise ValueError(f"damping must lie in (0, 1] (got {self.damping:g})")
         if not 0.0 < self.x_min < 1.0:
             raise ValueError("x_min must lie in (0, 1)")
         if self.volfrac < self.x_min:
@@ -165,7 +168,8 @@ def oc_update(x: np.ndarray, dc: np.ndarray, volumes: np.ndarray,
     """Optimality criteria step under the active-volume constraint.
 
     The Lagrange multiplier is found by bisection until the constraint is
-    met to 1e-6 of the active volume; passive elements stay at x_min.
+    met to 1e-6 of the active volume. Passive elements weigh nothing in the
+    volume, and both their bounds are x_min, so every step leaves them there.
     """
     x = np.asarray(x, dtype=float)
     dc = np.asarray(dc, dtype=float)
@@ -175,37 +179,32 @@ def oc_update(x: np.ndarray, dc: np.ndarray, volumes: np.ndarray,
     scale = np.abs(dc).max()
     if np.any(dc > 1e-12 * max(scale, 1.0)):
         raise ValueError("compliance sensitivities must be nonpositive")
-    dc = np.minimum(dc, 0.0)
 
-    active = ~passive
-    v0 = volumes[active].sum()
+    weights = np.where(passive, 0.0, volumes)
+    v0 = weights.sum()
     target = config.volfrac * v0
-    lower = np.maximum(config.x_min, x - config.move)
-    upper = np.minimum(1.0, x + config.move)
+    lower = np.where(passive, config.x_min, np.maximum(config.x_min, x - config.move))
+    upper = np.where(passive, config.x_min, np.minimum(1.0, x + config.move))
+    # x (-dc / (lam v))^damping = base lam^-damping
+    base = x * (-np.minimum(dc, 0.0) / volumes) ** config.damping
 
     def candidate(lam: float) -> np.ndarray:
-        ratio = (-dc / (lam * volumes)) ** config.damping
-        xn = np.clip(x * ratio, lower, upper)
-        xn[passive] = config.x_min
-        return xn
-
-    def active_volume(xn: np.ndarray) -> float:
-        return float((xn[active] * volumes[active]).sum())
+        return np.clip(base * lam ** -config.damping, lower, upper)
 
     lo, hi = 1e-10, 1e10
     for _ in range(30):
-        if active_volume(candidate(lo)) >= target:
+        if candidate(lo) @ weights >= target:
             break
         lo /= 10.0
     for _ in range(30):
-        if active_volume(candidate(hi)) <= target:
+        if candidate(hi) @ weights <= target:
             break
         hi *= 10.0
 
     for _ in range(200):
         lam = 0.5 * (lo + hi)
         xn = candidate(lam)
-        vol = active_volume(xn)
+        vol = xn @ weights
         if abs(vol - target) <= 1e-6 * v0:
             return xn
         if vol > target:

@@ -301,8 +301,11 @@ def _solve_reduced(K_ff: sp.csc_matrix, rhs: np.ndarray):
         raise ValueError("all degrees of freedom are constrained")
     try:
         # K_ff is SPD, so diagonal pivots are stable, as in Cholesky; row
-        # swaps would only let the fill grow with the design's contrast
-        lu = spla.splu(K_ff, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        # swaps would only let the fill grow with the design's contrast.
+        # Small supernodes factor faster than SuperLU's defaults on every
+        # family; relax=160, panel_size=80 once crashed scipy 1.17's SuperLU.
+        lu = spla.splu(K_ff, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                       relax=2, panel_size=2)
     except RuntimeError as exc:
         raise SingularSystemError(f"direct factorization failed: {exc}") from exc
     # a zero rhs would mask a (numerically) singular factorization, so

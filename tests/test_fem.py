@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from topo2d.fem import (ELEMENT_NODES, FAMILIES, LOCAL_EDGES, REF_CORNERS,
                         REF_MEASURE, Material, QuadratureRule, b_matrix,
                         edge_quadrature_3pt, elasticity_matrix,
-                        element_stiffness, element_stiffness_batch,
+                        element_energies, element_stiffness,
+                        element_stiffness_batch,
                         gradients_physical, quad_quadrature_2x2,
                         quadrature_rule, reference_coords, shape_functions,
                         shape_functions_at, strain_energy, tri_quadrature_7pt)
@@ -318,6 +319,17 @@ def test_strain_energy_uniaxial():
     assert abs(strain_energy("p1", tri, mat, ut) - 0.5 * A00) < 1e-12
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_element_energies_match_three_operand_einsum(family):
+    rng = np.random.default_rng(7)
+    coords = np.stack([random_element(family, rng) for _ in range(50)])
+    kmat = element_stiffness_batch(family, coords, Material())
+    u_e = rng.normal(size=(50, 2 * ELEMENT_NODES[family]))
+    expected = np.einsum("ei,eij,ej->e", u_e, kmat, u_e)
+    np.testing.assert_allclose(element_energies(kmat, u_e), expected, rtol=1e-13,
+                               atol=1e-13 * np.abs(expected).max())
+
+
 def test_elasticity_matrix_models():
     mat = Material(E=1.0, nu=0.3)
     lam = mat.lam
@@ -409,6 +421,16 @@ def test_wrong_node_count_rejected():
         element_stiffness_batch("p2", np.stack([tri, tri]), Material())
     with pytest.raises(ValueError, match=r"p1 elements have 3 nodes.*got \(3, 2\)"):
         element_stiffness_batch("p1", tri, Material())
+
+
+def test_b_matrix_wrong_node_count_rejected():
+    tri = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+    with pytest.raises(ValueError, match=r"q1 elements have 4 nodes.*got \(1, 3, 2\)"):
+        b_matrix("q1", tri, (0.0, 0.0))
+    with pytest.raises(ValueError, match="p2 elements have 6 nodes"):
+        b_matrix("p2", tri, (1.0 / 3.0, 1.0 / 3.0))
+    with pytest.raises(ValueError, match="p1 elements have 3 nodes"):
+        b_matrix("p1", np.vstack([tri, tri]), (1.0 / 3.0, 1.0 / 3.0))
 
 
 def test_quadrature_rule_selector():

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from topo2d.fem import Material
 from topo2d.mesh import DomainSpec, classify_boundary, generate_mesh
-from topo2d.optimizer import (DensityField, SensitivityFilter, SimpConfig,
-                              compliance_and_sensitivity,
+from topo2d.optimizer import (BisectionError, DensityField, SensitivityFilter,
+                              SimpConfig, compliance_and_sensitivity,
                               element_strain_energies, oc_update, optimize,
                               sensitivity_filter, write_history_csv)
 from topo2d.solver import LoadCase, assemble, solve
@@ -164,6 +164,78 @@ def test_oc_update_meets_volume_target(cells, volfrac):
     assert np.all((xn >= cfg.x_min) & (xn <= 1.0))
 
 
+def masked_oc_update(x, dc, volumes, config, passive):
+    """Reference OC update: an active mask, boolean gathers and a passive
+    reset in every bisection step, against which oc_update's one clipped
+    product per step is checked."""
+    active = ~passive
+    v0 = volumes[active].sum()
+    target = config.volfrac * v0
+    lower = np.maximum(config.x_min, x - config.move)
+    upper = np.minimum(1.0, x + config.move)
+
+    def candidate(lam):
+        ratio = (-dc / (lam * volumes)) ** config.damping
+        xn = np.clip(x * ratio, lower, upper)
+        xn[passive] = config.x_min
+        return xn
+
+    def active_volume(xn):
+        return float((xn[active] * volumes[active]).sum())
+
+    lo, hi = 1e-10, 1e10
+    for _ in range(30):
+        if active_volume(candidate(lo)) >= target:
+            break
+        lo /= 10.0
+    for _ in range(30):
+        if active_volume(candidate(hi)) <= target:
+            break
+        hi *= 10.0
+    for _ in range(200):
+        lam = 0.5 * (lo + hi)
+        xn = candidate(lam)
+        vol = active_volume(xn)
+        if abs(vol - target) <= 1e-6 * v0:
+            return xn
+        if vol > target:
+            lo = lam
+        else:
+            hi = lam
+    raise BisectionError("oracle bisection did not converge")
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells=st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(-1e3, -1e-3)),
+                                st.floats(1e-2, 1e2),
+                                st.floats(SimpConfig(volfrac=1.0).x_min, 1.0),
+                                st.booleans()),
+                      min_size=1, max_size=40),
+       no_passive=st.booleans(),
+       volfrac=st.floats(SimpConfig(volfrac=1.0).x_min, 1.0),
+       move=st.sampled_from([0.05, 0.2, 0.5]),
+       damping=st.sampled_from([0.3, 0.5, 1.0]))
+def test_oc_update_matches_masked_oracle(cells, no_passive, volfrac, move, damping):
+    cfg = SimpConfig(volfrac=volfrac, move=move, damping=damping)
+    dc, volumes, x, passive = (np.array(column) for column in zip(*cells))
+    if no_passive:
+        passive = np.zeros_like(passive)
+    active = ~passive
+    assume(active.any())
+    v0 = volumes[active].sum()
+    # the target must lie between the volumes of the lowest and the highest
+    # reachable designs; elements with dc = 0 stay at their lower move limit
+    lower = np.maximum(cfg.x_min, x - cfg.move)
+    reach = np.where(dc < 0.0, np.minimum(1.0, x + cfg.move), lower)
+    assume((lower * volumes)[active].sum() <= volfrac * v0 <= (reach * volumes)[active].sum())
+    expected = masked_oc_update(x, dc, volumes, cfg, passive)
+    xn = oc_update(x, dc, volumes, cfg, passive=None if no_passive else passive)
+    for design in (expected, xn):
+        assert abs((design * volumes)[active].sum() - volfrac * v0) <= 1e-6 * v0
+    np.testing.assert_allclose(xn, expected, rtol=0.0, atol=1e-9)
+    assert np.all(xn[passive] == cfg.x_min)
+
+
 def test_oc_rejects_positive_sensitivities():
     cfg = SimpConfig(volfrac=0.5)
     with pytest.raises(ValueError):
@@ -192,6 +264,12 @@ def test_simp_config_validation():
         SimpConfig(volfrac=1e-4, x_min=1e-3).validate()
     SimpConfig(volfrac=0.4).validate()
     SimpConfig(volfrac=0.4, conv_tol=np.inf).validate()
+
+
+def test_damping_above_one_rejected():
+    SimpConfig(volfrac=0.4, damping=1.0).validate()
+    with pytest.raises(ValueError, match=r"damping must lie in \(0, 1\] \(got 40\)"):
+        SimpConfig(volfrac=0.4, damping=40.0).validate()
 
 
 def test_optimize_stops_after_one_iteration_with_inf_tol():
