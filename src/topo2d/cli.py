@@ -106,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
         if f.default is not None:
             shown = f"{f.default:g}" if kind is float else f.default
             help += f" (default: {shown})"
-        parser.add_argument(flag, type=kind, help=help, choices=f.metadata["choices"])
+        # a string: resolve_config coerces flags and file values alike
+        parser.add_argument(flag, help=help, choices=f.metadata["choices"])
     parser.add_argument("--config", help="key=value file supplying defaults for flags")
     parser.add_argument("--sweep", help="file with one key=value run per line")
     parser.add_argument("--jobs", type=int, help="parallel workers for --sweep")
@@ -205,6 +206,9 @@ def prepare(cfg: RunConfig):
         refine_level=cfg.refine,
         bevel_ratio=cfg.bevel_ratio,
     )
+    spec.validate()
+    if not 0.0 < cfg.bevel_ratio <= 1.0:
+        raise ValueError(f"--bevel-ratio must lie in (0, 1] (got {cfg.bevel_ratio:g})")
     mesh = generate_mesh(spec, cfg.elem)
     case = build_load_case(cfg.problem, mesh)
     mesh = classify_boundary(mesh, case)
@@ -359,6 +363,8 @@ def main(argv=None) -> int:
         return 0
     except (ValueError, OSError) as exc:
         parser.exit(2, f"error: {exc}\n")
+    except MemoryError as exc:
+        parser.exit(2, f"error: out of memory: {exc}\n")
     except SolveError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1

@@ -4,8 +4,15 @@ Covers the three supported element families (bilinear quads, linear and
 quadratic triangles): material law, reference shape functions, quadrature
 rules, strain-displacement matrices and element stiffness integration.
 
-Strain uses the engineering Voigt convention (eps_xx, eps_yy, gamma_xy) and
-element displacement vectors interleave components as (u1x, u1y, u2x, ...).
+Each element convention is one module table, and the rest derives from it:
+the Q1 basis takes its signs from REF_CORNERS, and the triangle bases are
+built on the barycentric coordinates of its triangle; P2 midside function j
+is 4 lam_a lam_b over the j-th vertex pair of LOCAL_EDGES, which also numbers
+the mesh's midside nodes; VOIGT, the engineering strain (eps_xx, eps_yy,
+gamma_xy) of a displacement gradient, builds B and the elasticity tensor of
+K0. The inverse reference map is one Newton iteration on the shape functions
+for every family. Element displacement vectors interleave components as
+(u1x, u1y, u2x, ...).
 
 Element stiffness matrices (K0) are integrated for a whole mesh at once,
 without a loop over quadrature points: the Jacobians of every element at
@@ -44,6 +51,13 @@ LOCAL_EDGES = {
     "p1": ((0, 1), (1, 2), (2, 0)),
     "p2": ((0, 1), (1, 2), (2, 0)),
 }
+
+#: VOIGT[I, a, c] = 1 where du_a/dx_c enters Voigt strain I
+VOIGT = np.array([
+    [[1.0, 0.0], [0.0, 0.0]],  # eps_xx = du_x/dx
+    [[0.0, 0.0], [0.0, 1.0]],  # eps_yy = du_y/dy
+    [[0.0, 1.0], [1.0, 0.0]],  # gamma_xy = du_x/dy + du_y/dx
+])
 
 
 def check_family(family: str) -> str:
@@ -172,44 +186,26 @@ def shape_functions_at(family: str, points) -> tuple[np.ndarray, np.ndarray]:
     check_family(family)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     x, y = pts[:, 0], pts[:, 1]
-    m = pts.shape[0]
-    zero = np.zeros(m)
 
-    if family == "p1":
-        values = np.stack([1.0 - x - y, x, y], axis=1)
-        grads = np.broadcast_to(
-            np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]), (m, 3, 2)
-        ).copy()
-        return values, grads
-
-    if family == "p2":
-        s = 1.0 - x - y
-        values = np.stack(
-            [
-                s * (2.0 * s - 1.0),
-                x * (2.0 * x - 1.0),
-                y * (2.0 * y - 1.0),
-                4.0 * x * s,
-                4.0 * x * y,
-                4.0 * y * s,
-            ],
-            axis=1,
-        )
-        gx = np.stack(
-            [1.0 - 4.0 * s, 4.0 * x - 1.0, zero, 4.0 * (s - x), 4.0 * y, -4.0 * y],
-            axis=1,
-        )
-        gy = np.stack(
-            [1.0 - 4.0 * s, zero, 4.0 * y - 1.0, -4.0 * x, 4.0 * x, 4.0 * (s - y)],
-            axis=1,
-        )
+    if family == "q1":
+        sx, sy = REF_CORNERS["q1"].T
+        values = 0.25 * (1.0 + np.outer(x, sx)) * (1.0 + np.outer(y, sy))
+        gx = 0.25 * sx[None, :] * (1.0 + np.outer(y, sy))
+        gy = 0.25 * sy[None, :] * (1.0 + np.outer(x, sx))
         return values, np.stack([gx, gy], axis=2)
 
-    sx, sy = REF_CORNERS["q1"].T
-    values = 0.25 * (1.0 + np.outer(x, sx)) * (1.0 + np.outer(y, sy))
-    gx = 0.25 * sx[None, :] * (1.0 + np.outer(y, sy))
-    gy = 0.25 * sy[None, :] * (1.0 + np.outer(x, sx))
-    return values, np.stack([gx, gy], axis=2)
+    # barycentric coordinates of the reference triangle and their gradients
+    lam = np.stack([1.0 - x - y, x, y], axis=1)
+    dlam = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    if family == "p1":
+        return lam, np.broadcast_to(dlam, (len(pts), 3, 2)).copy()
+    # p2: lam_i (2 lam_i - 1) at the vertices, then 4 lam_i lam_j at the
+    # midside of each local edge (i, j)
+    i, j = np.array(LOCAL_EDGES["p2"]).T
+    values = np.hstack([lam * (2.0 * lam - 1.0), 4.0 * lam[:, i] * lam[:, j]])
+    grads = np.hstack([(4.0 * lam - 1.0)[:, :, None] * dlam,
+                       4.0 * (lam[:, i, None] * dlam[j] + lam[:, j, None] * dlam[i])])
+    return values, grads
 
 
 def shape_functions(family: str, ref_point) -> tuple[np.ndarray, np.ndarray]:
@@ -246,17 +242,6 @@ def inverse_jacobian(coords: np.ndarray, dref: np.ndarray):
     return inv / safe[:, None, None], det
 
 
-def _b_from_gradients(dphys: np.ndarray) -> np.ndarray:
-    """Assemble Voigt strain-displacement matrices from physical gradients."""
-    m, k, _ = dphys.shape
-    b = np.zeros((m, 3, 2 * k))
-    b[:, 0, 0::2] = dphys[:, :, 0]
-    b[:, 1, 1::2] = dphys[:, :, 1]
-    b[:, 2, 0::2] = dphys[:, :, 1]
-    b[:, 2, 1::2] = dphys[:, :, 0]
-    return b
-
-
 def _check_coords(family: str, coords: np.ndarray) -> np.ndarray:
     """coords itself, once it is (E, k, 2) for the family's k nodes."""
     k = ELEMENT_NODES[check_family(family)]
@@ -279,19 +264,17 @@ def b_matrix(family: str, coords, ref_point) -> np.ndarray:
     _, dphys, det = gradients_physical(family, coords, point)
     if not det[0] > 0.0:
         raise ValueError(f"degenerate element: Jacobian determinant {det[0]:g}")
-    return _b_from_gradients(dphys)[0]
+    return np.einsum("Iac,kc->Ika", VOIGT, dphys[0]).reshape(3, -1)
 
 
 def _elasticity_gradient_tensor(material: Material) -> np.ndarray:
-    """C[(c, d), (a, b)] = sum_IJ P[I, a, c] A[I, J] P[J, b, d], shape (4, 4).
+    """C[(c, d), (a, b)] = sum_IJ VOIGT[I, a, c] A[I, J] VOIGT[J, b, d], shape (4, 4).
 
-    P maps the displacement gradient du_a/dx_c to Voigt strain, so
     sum_cd dN_i/dx_c C[c, d, a, b] dN_j/dx_d is entry (2i + a, 2j + b) of
     B^T A B.
     """
-    p = np.zeros((3, 2, 2))
-    p[0, 0, 0] = p[1, 1, 1] = p[2, 0, 1] = p[2, 1, 0] = 1.0
-    return np.einsum("iac,ij,jbd->cdab", p, elasticity_matrix(material), p).reshape(4, 4)
+    return np.einsum("iac,ij,jbd->cdab", VOIGT, elasticity_matrix(material),
+                     VOIGT).reshape(4, 4)
 
 
 def _reference_tensor(family: str, rule: QuadratureRule) -> np.ndarray:
@@ -397,27 +380,19 @@ def strain_energy(family: str, coords, material: Material, u_e) -> float:
 def reference_coords(family: str, coords: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Map physical points into element reference coordinates, batched.
 
-    coords (m, k, 2), points (m, 2) -> (m, 2). Triangles invert the affine
-    map directly; quads run at most 4 Newton steps and stop once no point
-    moves by more than 1e-12. One step is exact on the rectangles produced
-    by the mesh generator, so they stop after the second.
+    coords (m, k, 2), points (m, 2) -> (m, 2). Every family runs the same
+    Newton iteration on the map sum_k N_k(ref) x_k given by
+    ``shape_functions_at``: at most 4 steps from the origin, stopping once
+    no point moves by more than 1e-12. One step is exact on affine elements
+    (triangles, and the rectangles produced by the mesh generator), so they
+    stop after the second.
     """
     check_family(family)
     coords = np.asarray(coords, dtype=float)
     points = np.asarray(points, dtype=float)
-    if family in ("p1", "p2"):
-        v0 = coords[:, 0]
-        e1 = coords[:, 1] - v0
-        e2 = coords[:, 2] - v0
-        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        rhs = points - v0
-        xi = (e2[:, 1] * rhs[:, 0] - e2[:, 0] * rhs[:, 1]) / det
-        eta = (-e1[:, 1] * rhs[:, 0] + e1[:, 0] * rhs[:, 1]) / det
-        return np.stack([xi, eta], axis=1)
-
     ref = np.zeros_like(points)
     for _ in range(4):
-        values, dref = shape_functions_at("q1", ref)
+        values, dref = shape_functions_at(family, ref)
         res = points - np.einsum("mk,mka->ma", values, coords)
         inv, _ = inverse_jacobian(coords, dref)
         step = np.einsum("mab,mb->ma", inv, res)

@@ -26,9 +26,6 @@ NEUMANN = 2
 SHAPES = ("rectangle", "trapezoid")
 TRIANGULATIONS = ("two_split", "cross_split")
 
-# midside connectivity slot for each local edge of a p2 triangle
-_P2_MID_SLOT = (3, 4, 5)
-
 _GEOM_TOL = 1e-12
 
 
@@ -76,7 +73,8 @@ class Mesh:
     """Finite element mesh with edge topology.
 
     conn lists vertex nodes first (counterclockwise); p2 rows append the
-    midside nodes of local edges (0,1), (1,2), (2,0). Edge arrays record
+    midside nodes of the local edges in fem.LOCAL_EDGES["p2"] order, (0,1),
+    (1,2), (2,0) as VTK's quadratic triangle expects. Edge arrays record
     endpoint vertices, the p2 midside id (-1 when absent), the edge kind,
     the one or two adjacent elements (-1 in the second slot on the
     boundary) and the edge length. Treat a constructed mesh as read-only.
@@ -174,10 +172,11 @@ def _unique_edges(conn: np.ndarray, local=LOCAL_EDGES["p1"]):
     return pairs, inverse.reshape(conn.shape[0], len(local)), first, second
 
 
-def _with_midpoints(points: np.ndarray, tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _with_midpoints(points: np.ndarray, tris: np.ndarray,
+                    local=LOCAL_EDGES["p1"]) -> tuple[np.ndarray, np.ndarray]:
     """The points with every edge's midpoint appended, and the midpoint ids
-    (E, 3) of each triangle's local edges (0,1), (1,2), (2,0)."""
-    pairs, slots, _, _ = _unique_edges(tris)
+    (E, 3) of each triangle's local edges, in the order of local."""
+    pairs, slots, _, _ = _unique_edges(tris, local)
     return np.vstack([points, points[pairs].mean(axis=1)]), len(points) + slots
 
 
@@ -199,7 +198,7 @@ def _triangle_family(family: str, points: np.ndarray,
     """Nodes and connectivity of the p1 or p2 mesh on a triangulation."""
     if family == "p1":
         return points, tris
-    nodes, mids = _with_midpoints(points, tris)
+    nodes, mids = _with_midpoints(points, tris, LOCAL_EDGES["p2"])
     return nodes, np.hstack([tris, mids])
 
 
@@ -237,7 +236,7 @@ def _build_mesh(family: str, nodes: np.ndarray, conn: np.ndarray,
     order = np.argsort(first)
     first, second = first[order], second[order]
     edge_nodes = conn[:, np.asarray(local)].reshape(-1, 2)[first].astype(np.int64)
-    mids = conn[:, _P2_MID_SLOT].ravel()[first] if family == "p2" else np.full(len(first), -1)
+    mids = conn[:, 3:].ravel()[first] if family == "p2" else np.full(len(first), -1)
     edge_mid = mids.astype(np.int64)
     edge_elems = np.column_stack(
         [first // len(local), np.where(second >= 0, second // len(local), -1)])

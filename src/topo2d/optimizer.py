@@ -47,6 +47,8 @@ class SimpConfig:
             raise ValueError("penal must be at least 1")
         if self.rmin <= 0.0 or self.move <= 0.0 or self.damping <= 0.0:
             raise ValueError("rmin, move and damping must be positive")
+        if self.conv_tol < 0.0:
+            raise ValueError(f"conv_tol must be nonnegative (got {self.conv_tol:g})")
         if self.damping > 1.0:
             # above one the OC step amplifies, and lam ** -damping can overflow
             raise ValueError(f"damping must lie in (0, 1] (got {self.damping:g})")
@@ -170,7 +172,9 @@ def oc_update(x: np.ndarray, dc: np.ndarray, volumes: np.ndarray,
     The Lagrange multiplier is found by bisection until the constraint is
     met to 1e-6 of the active volume. Passive elements weigh nothing in the
     volume, and both their bounds are x_min, so every step leaves them there.
+    Raises ValueError on an invalid config.
     """
+    config.validate()
     x = np.asarray(x, dtype=float)
     dc = np.asarray(dc, dtype=float)
     volumes = np.asarray(volumes, dtype=float)

@@ -2,7 +2,9 @@
 
 import csv
 import dataclasses
+import io
 import os
+from contextlib import redirect_stderr
 from dataclasses import fields
 
 import numpy as np
@@ -11,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topo2d import export
-from topo2d.cli import (RunConfig, _config_lines, build_parser, estimate_solid,
-                        main, parse_config_file, prepare, resolve_config, run,
-                        run_sweep)
+from topo2d.cli import (RunConfig, _config_lines, _option_type, build_parser,
+                        estimate_solid, main, parse_config_file, prepare,
+                        resolve_config, run, run_sweep)
 from topo2d.estimator import estimate, write_error_report
 from topo2d.export import (REPORT_COLUMNS, append_report, density_raster,
                            density_to_gray, report_row, write_density_csv,
@@ -667,6 +669,69 @@ def test_config_round_trip(tmp_path_factory, cfg):
     path.write_text(_config_lines(cfg))
     values = parse_config_file(path)
     assert resolve_config({"quiet": cfg.quiet}, values) == cfg
+
+
+def _bad_values():
+    """(option, value) pairs that every problem refuses: NaN, +-inf and
+    values outside each numeric option's range."""
+    out_of_range = {
+        "volfrac": st.floats(max_value=0.0) | st.floats(min_value=1.0, exclude_min=True),
+        "penal": st.floats(max_value=1.0, exclude_max=True),
+        "rmin": st.floats(max_value=0.0),
+        "move": st.floats(max_value=0.0),
+        "conv_tol": st.floats(max_value=0.0, exclude_max=True),
+        "bevel_ratio": st.floats(max_value=0.0) | st.floats(min_value=1.0, exclude_min=True),
+    }
+    numeric = [f for f in fields(RunConfig) if _option_type(f) in (int, float)]
+    for f in numeric:
+        if _option_type(f) is int:
+            out_of_range[f.name] = st.integers(max_value=f.metadata["minimum"] - 1)
+    assert set(out_of_range) == {f.name for f in numeric}
+
+    def values(name):
+        # conv_tol = inf is valid: it stops after one iteration
+        nonfinite = ["nan", "-inf"] + ([] if name == "conv_tol" else ["inf"])
+        return st.tuples(st.just(name),
+                         st.sampled_from(nonfinite) | out_of_range[name].map(repr))
+
+    return st.sampled_from(sorted(out_of_range)).flatmap(values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=st.sampled_from(sorted(PRESETS)), elem=st.sampled_from(["q1", "p2"]),
+       bad=_bad_values())
+def test_bad_option_values_exit_two(tmp_path_factory, problem, elem, bad):
+    name, value = bad
+    out = tmp_path_factory.mktemp("bad_option") / "out"
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["--problem", problem, "--elem", elem, "--nx", "6", "--ny", "4",
+              "--max-iters", "1", "--quiet", "--out", str(out),
+              f"--{name.replace('_', '-')}={value}"])
+    assert exc.value.code == 2
+    message = err.getvalue()
+    assert message.count("\n") == 1 and message.startswith("error: "), message
+    assert "Traceback" not in message
+    assert not out.exists()
+
+
+def test_out_of_memory_exits_two(tmp_path, monkeypatch, capsys):
+    # an oversized grid fails in the mesh build; the stand-in raises there
+    # without allocating anything large
+    import topo2d.cli
+
+    def oversized(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                          "(10000200001, 2) and data type float64")
+
+    monkeypatch.setattr(topo2d.cli, "generate_mesh", oversized)
+    with pytest.raises(SystemExit) as exc:
+        main(["--problem", "cantilever", "--nx", "100000", "--ny", "100000",
+              "--max-iters", "1", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: out of memory: Unable to allocate")
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_refuses_load_on_support_before_running(tmp_path, capsys):

@@ -262,6 +262,8 @@ def test_simp_config_validation():
             SimpConfig(**{"volfrac": 0.4, field: np.inf}).validate()
     with pytest.raises(ValueError, match="x_min"):
         SimpConfig(volfrac=1e-4, x_min=1e-3).validate()
+    with pytest.raises(ValueError, match="conv_tol"):
+        SimpConfig(volfrac=0.4, conv_tol=-1.0).validate()
     SimpConfig(volfrac=0.4).validate()
     SimpConfig(volfrac=0.4, conv_tol=np.inf).validate()
 
@@ -270,6 +272,14 @@ def test_damping_above_one_rejected():
     SimpConfig(volfrac=0.4, damping=1.0).validate()
     with pytest.raises(ValueError, match=r"damping must lie in \(0, 1\] \(got 40\)"):
         SimpConfig(volfrac=0.4, damping=40.0).validate()
+
+
+def test_oc_update_validates_its_config():
+    # called directly, without optimize's validate: lam ** -40 would
+    # overflow into an OverflowError
+    with pytest.raises(ValueError, match="damping"):
+        oc_update(np.full(4, 0.4), np.full(4, -1.0), np.ones(4),
+                  SimpConfig(volfrac=0.4, damping=40.0))
 
 
 def test_optimize_stops_after_one_iteration_with_inf_tol():

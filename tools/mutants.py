@@ -1,0 +1,194 @@
+"""Mutation register: deliberate faults that the named tests must catch.
+
+Usage, from the repository root:  python3 tools/mutants.py [NAME ...]
+
+Each entry replaces one exact text, which must occur exactly once, in one
+file of a temporary copy of the tree (never the working tree), and runs
+only the tests named with it, with ``pytest -x``. The mutant is killed when
+those tests fail. Before any mutant runs, the named tests must pass on the
+unmutated copy, so a broken test cannot pass for a kill. Names given on the
+command line select entries by substring. Exits 1 if any mutant survives,
+no longer applies (its text is gone or not unique) or makes pytest itself
+fail, and 0 when every selected mutant is killed.
+
+Register a mutant for each new check, and move it along when a refactor
+moves its text. A surviving mutant is a missing test.
+"""
+
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "bench", "pyproject.toml")
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple
+
+
+FEM, MESH = "src/topo2d/fem.py", "src/topo2d/mesh.py"
+SOLVER, OPTIMIZER = "src/topo2d/solver.py", "src/topo2d/optimizer.py"
+
+MUTANTS = [
+    # free-node order and NATURAL factorization
+    Mutant("node order skipped", SOLVER,
+           "        nodes = nodes[np.argsort(perm)]\n",
+           "        perm = np.arange(n_free)\n        nodes = nodes[np.argsort(perm)]\n",
+           ("tests/test_solver.py::test_node_order_fills_like_dof_minimum_degree",)),
+    Mutant("node pairs not renumbered", SOLVER,
+           "        pair = renumbered[pair]\n", "",
+           ("tests/test_solver.py::test_assembler_reduced_solve_matches_oracle",)),
+    Mutant("K factored in MMD_AT_PLUS_A order", SOLVER,
+           'spla.splu(K_ff, permc_spec="NATURAL"', 'spla.splu(K_ff, permc_spec="MMD_AT_PLUS_A"',
+           ("tests/test_solver.py::test_every_factorization_runs_in_natural_order",)),
+    Mutant("fixed nodes outside the mesh accepted", SOLVER,
+           "        if np.any((self.constrained < 0) | (self.constrained >= self.ndof)):",
+           "        if False:",
+           ("tests/test_solver.py::test_fixed_nodes_validated",)),
+    Mutant("bad prescribed vector accepted", SOLVER,
+           "        if prescribed.shape != (asm.ndof,) or not np.all(np.isfinite(prescribed)):",
+           "        if False:",
+           ("tests/test_solver.py::test_prescribed_values_validated",)),
+    # element stiffness as matrix products, and element geometry checks
+    Mutant("NaN determinant passes the K0 check", FEM,
+           "    bad = ~(det > 0.0)", "    bad = det <= 0.0",
+           ("tests/test_fem.py::test_nan_element_rejected",)),
+    Mutant("adjugate entries swapped", FEM,
+           "    np.multiply(j10, -scale, out=adj[0, :, 1])\n"
+           "    np.multiply(j01, -scale, out=adj[1, :, 0])",
+           "    np.multiply(j01, -scale, out=adj[0, :, 1])\n"
+           "    np.multiply(j10, -scale, out=adj[1, :, 0])",
+           ("tests/test_fem.py::test_q1_stiffness_matches_dense_oracle",)),
+    Mutant("R delta on the wrong axis", FEM,
+           "tensor[a, b, :, :, :, :, a, :, b] = block",
+           "tensor[a, b, :, :, :, :, b, :, a] = block",
+           ("tests/test_fem.py::test_q1_stiffness_matches_dense_oracle",)),
+    Mutant("x and y swapped in R", FEM,
+           '"q,qix,qjy->qxyij"', '"q,qix,qjy->qyxij"',
+           ("tests/test_fem.py::test_q1_stiffness_matches_dense_oracle",)),
+    Mutant("no K0 shape check", FEM,
+           "    coords = _check_coords(family, np.asarray(coords, dtype=float))\n",
+           "    coords = np.asarray(coords, dtype=float)\n",
+           ("tests/test_fem.py::test_wrong_node_count_rejected",)),
+    Mutant("NaN area passes the mesh check", MESH,
+           "    if not np.all(areas > 0.0):", "    if np.any(areas <= 0.0):",
+           ("tests/test_mesh.py::test_misoriented_or_nan_element_rejected",)),
+    Mutant("diameters from consecutive vertices", MESH,
+           "    first_v, second_v = np.triu_indices(nv, 1)",
+           "    first_v, second_v = np.arange(nv), (np.arange(nv) + 1) % nv",
+           ("tests/test_mesh.py::test_areas_and_centroids",)),
+    Mutant("highest bad element named", FEM,
+           "        e = int(np.argmax(bad.any(axis=0)))",
+           "        e = int(n_el - 1 - np.argmax(bad.any(axis=0)[::-1]))",
+           ("tests/test_fem.py::test_batch_names_lowest_degenerate_element",)),
+    # OC update and the b_matrix check
+    Mutant("passive cells free to grow", OPTIMIZER,
+           "    upper = np.where(passive, config.x_min, np.minimum(1.0, x + config.move))",
+           "    upper = np.minimum(1.0, x + config.move)",
+           ("tests/test_optimizer.py::test_oc_passive_elements_pinned",)),
+    Mutant("passive volumes weighted", OPTIMIZER,
+           "    weights = np.where(passive, 0.0, volumes)", "    weights = volumes",
+           ("tests/test_optimizer.py::test_oc_passive_elements_pinned",)),
+    Mutant("damping fixed at 0.5 in the step", OPTIMIZER,
+           "    base = x * (-np.minimum(dc, 0.0) / volumes) ** config.damping",
+           "    base = x * (-np.minimum(dc, 0.0) / volumes) ** 0.5",
+           ("tests/test_optimizer.py::test_oc_update_matches_masked_oracle",)),
+    Mutant("no b_matrix shape check", FEM,
+           "    coords = _check_coords(family, np.asarray(coords, dtype=float)[None])",
+           "    coords = np.asarray(coords, dtype=float)[None]",
+           ("tests/test_fem.py::test_b_matrix_wrong_node_count_rejected",)),
+    Mutant("wrong energy operand", FEM,
+           '    return np.einsum("ei,ei->e", (kmat @ u_e[:, :, None])[:, :, 0], u_e)',
+           '    return np.einsum("ei,ei->e", (kmat @ u_e[:, :, None])[:, :, 0], np.abs(u_e))',
+           ("tests/test_fem.py::test_element_energies_match_three_operand_einsum",)),
+    # element conventions derived from fem's tables
+    Mutant("p2 local edges permuted", FEM,
+           '    "p2": ((0, 1), (1, 2), (2, 0)),', '    "p2": ((0, 1), (2, 0), (1, 2)),',
+           ("tests/test_fem.py::test_kronecker_at_nodes",
+            "tests/test_mesh.py::test_p2_midside_nodes")),
+    Mutant("VOIGT shear entry missing", FEM,
+           "    [[0.0, 1.0], [1.0, 0.0]],  # gamma_xy",
+           "    [[0.0, 1.0], [0.0, 0.0]],  # gamma_xy",
+           ("tests/test_fem.py::test_b_matrix_rigid_rotation_gives_zero_strain",)),
+    Mutant("p2 midside gradient from one end only", FEM,
+           "lam[:, i, None] * dlam[j] + lam[:, j, None] * dlam[i]",
+           "lam[:, i, None] * dlam[j] + lam[:, j, None] * dlam[j]",
+           ("tests/test_fem.py::test_partition_of_unity",)),
+    Mutant("inverse map stops after one Newton step", FEM,
+           "    for _ in range(4):\n        values, dref = shape_functions_at(family, ref)",
+           "    for _ in range(1):\n        values, dref = shape_functions_at(family, ref)",
+           ("tests/test_fem.py::test_reference_coords_roundtrip",)),
+    Mutant("p2 edge midsides read in reverse", MESH,
+           "conn[:, 3:].ravel()", "conn[:, 3:][:, ::-1].ravel()",
+           ("tests/test_mesh.py::test_boundary_node_ids_p2_includes_midsides",)),
+]
+
+
+def pytest(tree: Path, tests) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+        cwd=tree, capture_output=True, text=True)
+
+
+def fresh_copy(base: Path, name: str) -> Path:
+    tree = base / name
+    tree.mkdir()
+    for item in COPIED:
+        source = ROOT / item
+        if source.is_dir():
+            shutil.copytree(source, tree / item,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        else:
+            shutil.copy2(source, tree / item)
+    return tree
+
+
+def main(argv) -> int:
+    selected = [m for m in MUTANTS if not argv or any(word in m.name for word in argv)]
+    if not selected:
+        print(f"no mutant matches {argv}")
+        return 1
+    failures = 0
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="topo2d-mutants-") as tmp:
+        base = Path(tmp)
+        baseline = pytest(fresh_copy(base, "baseline"),
+                          sorted({test for m in selected for test in m.tests}))
+        if baseline.returncode != 0:
+            print("the named tests fail on the unmutated tree:\n"
+                  + (baseline.stdout + baseline.stderr)[-2000:])
+            return 1
+        print(f"named tests pass unmutated ({time.perf_counter() - start:.0f} s)")
+        for index, mutant in enumerate(selected):
+            began = time.perf_counter()
+            tree = fresh_copy(base, f"mutant_{index:02d}")
+            target = tree / mutant.path
+            text = target.read_text()
+            count = text.count(mutant.old)
+            if count != 1:
+                status = f"NOT APPLIED (text found {count} times)"
+            else:
+                target.write_text(text.replace(mutant.old, mutant.new))
+                result = pytest(tree, mutant.tests)
+                status = {0: "SURVIVED", 1: "killed"}.get(
+                    result.returncode, f"PYTEST ERROR (exit {result.returncode})")
+            shutil.rmtree(tree)
+            failures += status != "killed"
+            print(f"{status:>10}  {mutant.name} ({mutant.path}, "
+                  f"{time.perf_counter() - began:.1f} s)", flush=True)
+    print(f"{len(selected) - failures} of {len(selected)} mutants killed "
+          f"in {time.perf_counter() - start:.0f} s")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
