@@ -106,8 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
         if f.default is not None:
             shown = f"{f.default:g}" if kind is float else f.default
             help += f" (default: {shown})"
-        # a string: resolve_config coerces flags and file values alike
-        parser.add_argument(flag, help=help, choices=f.metadata["choices"])
+        # a string: resolve_config coerces and checks flags and file values alike
+        choices = f.metadata["choices"]
+        parser.add_argument(flag, help=help, metavar=choices and "{" + ",".join(choices) + "}")
     parser.add_argument("--config", help="key=value file supplying defaults for flags")
     parser.add_argument("--sweep", help="file with one key=value run per line")
     parser.add_argument("--jobs", type=int, help="parallel workers for --sweep")

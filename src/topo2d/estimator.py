@@ -14,11 +14,11 @@ longest vertex-pair distances; h_e is the edge length.
 
 Evaluation exploits that all generated elements are affine images of the
 reference element (straight triangles, axis-aligned rectangles), on which
-sigma(u_h) is affine: its values at each element's own vertices give the
-constant stress divergence and, at the end vertices and outward normal
-that mesh.edge_ends finds, every edge trace. The jump is linear along an
-edge and integrated in closed form from its two end values; the Neumann
-term samples g at 3 Gauss points per edge.
+sigma(u_h) is affine. An estimate evaluates sigma once, at every element's
+own vertices; that table gives the constant stress divergence and, at the
+ends that mesh.edge_ends finds, every edge trace. One edge rule serves both
+edge terms: the residual is linear along an edge, so its end values,
+interpolated to a 3-point Gauss rule, integrate its square exactly.
 """
 
 from dataclasses import dataclass
@@ -27,6 +27,9 @@ import numpy as np
 
 from . import fem, mesh as meshmod
 from .export import write_columns
+from .solver import LoadCase
+
+_NO_SUPPORTS = np.empty(0, dtype=np.int64)
 
 
 @dataclass
@@ -51,15 +54,15 @@ class ErrorBreakdown:
     eta_global: float
 
 
-def _vertex_stresses(mesh: meshmod.Mesh, material: fem.Material, U: np.ndarray,
-                     elems=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-    """Voigt stress of the discrete solution at the selected elements' vertices.
+def _vertex_stresses(mesh: meshmod.Mesh, material: fem.Material,
+                     U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Voigt stress of the discrete solution at every element's vertices.
 
-    Returns the stresses (m, nv, 3), vertices in local order, and the inverse
-    Jacobians (m, 2, 2). The elements are affine, so one inverse serves the
+    Returns the stresses (E, nv, 3), vertices in local order, and the inverse
+    Jacobians (E, 2, 2). The elements are affine, so one inverse serves the
     whole element.
     """
-    conn = mesh.conn[elems]
+    conn = mesh.conn
     _, dref = fem.shape_functions_at(mesh.family, fem.REF_CORNERS[mesh.family])
     inv, _ = fem.inverse_jacobian(mesh.nodes[conn], dref[0])
     gx = np.tensordot(U[2 * conn], dref, axes=(1, 1)) @ inv
@@ -69,11 +72,37 @@ def _vertex_stresses(mesh: meshmod.Mesh, material: fem.Material, U: np.ndarray,
     return strain @ fem.elasticity_matrix(material), inv
 
 
-def _traction(sigma: np.ndarray, normal: np.ndarray) -> np.ndarray:
-    """sigma . n for stresses (m, q, 3) and one normal (m, 2) per row."""
+def _divergence(mesh: meshmod.Mesh, sigma: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """div sigma per element from the vertex stresses and inverse Jacobians."""
+    step = 2.0 if mesh.family == "q1" else 1.0
+    dref = np.stack([sigma[:, 1] - sigma[:, 0], sigma[:, -1] - sigma[:, 0]], axis=2) / step
+    grad = dref @ inv
+    return np.stack([grad[:, 0, 0] + grad[:, 2, 1], grad[:, 2, 0] + grad[:, 1, 1]], axis=1)
+
+
+def _edge_residuals(mesh: meshmod.Mesh, sigma: np.ndarray, traction) -> np.ndarray:
+    """h_e ||(sigma_0 - sigma_1) n_0 - g||_e^2 on every non-Dirichlet edge.
+
+    n_0 is side 0's outward normal; sigma_1 = 0 on boundary edges and g = 0
+    on interior ones. Dirichlet edges hold zero.
+    """
+    edges = np.flatnonzero(mesh.edge_kind != meshmod.DIRICHLET)
+    inside = mesh.edge_kind[edges] == meshmod.INTERIOR
+    e0, v0, normal = meshmod.edge_ends(mesh, edges, 0)
+    e1, v1, _ = meshmod.edge_ends(mesh, edges[inside], 1)
+    ends = sigma[e0[:, None], v0]
+    ends[inside] -= sigma[e1[:, None], v1]
+    t, w = fem.edge_quadrature_3pt()
+    s = ends[:, :1] + t[None, :, None] * (ends[:, 1:] - ends[:, :1])
     nx, ny = normal[:, None, 0], normal[:, None, 1]
-    return np.stack([sigma[..., 0] * nx + sigma[..., 2] * ny,
-                     sigma[..., 2] * nx + sigma[..., 1] * ny], axis=2)
+    r = np.stack([s[..., 0] * nx + s[..., 2] * ny, s[..., 2] * nx + s[..., 1] * ny], axis=2)
+    if traction is not None:
+        pts = meshmod.edge_points(mesh, edges[~inside], t)
+        g = [traction(p, n) for p, n in zip(pts, normal[~inside])]
+        r[~inside] -= np.array(g, dtype=float).reshape(-1, len(t), 2)
+    values = np.zeros(mesh.n_edges)
+    values[edges] = mesh.edge_length[edges] ** 2 * (np.einsum("eqc,eqc->eq", r, r) @ w)
+    return values
 
 
 def stress_divergence(mesh: meshmod.Mesh, material: fem.Material,
@@ -84,11 +113,7 @@ def stress_divergence(mesh: meshmod.Mesh, material: fem.Material,
     y only, eps_yy with x only), so the vertex differences along the two
     reference axes, a step of 2 on Q1 and 1 on triangles, fix its gradient.
     """
-    sigma, inv = _vertex_stresses(mesh, material, U)
-    step = 2.0 if mesh.family == "q1" else 1.0
-    dref = np.stack([sigma[:, 1] - sigma[:, 0], sigma[:, -1] - sigma[:, 0]], axis=2) / step
-    grad = dref @ inv
-    return np.stack([grad[:, 0, 0] + grad[:, 2, 1], grad[:, 2, 0] + grad[:, 1, 1]], axis=1)
+    return _divergence(mesh, *_vertex_stresses(mesh, material, U))
 
 
 def bulk_residual(mesh: meshmod.Mesh, material: fem.Material, U: np.ndarray,
@@ -98,50 +123,22 @@ def bulk_residual(mesh: meshmod.Mesh, material: fem.Material, U: np.ndarray,
     Identically zero for p1 meshes without body force: the stress is
     piecewise constant there.
     """
-    residual = stress_divergence(mesh, material, U)
-    residual += np.asarray(body_force, dtype=float)[None, :]
-    sq = np.einsum("ec,ec->e", residual, residual)
-    return mesh.diameters ** 2 * mesh.areas * sq
+    return estimate(mesh, U, material, LoadCase(_NO_SUPPORTS, body_force=body_force)).bulk
 
 
-def jump_residual(mesh: meshmod.Mesh, material: fem.Material,
-                  U: np.ndarray) -> np.ndarray:
+def jump_residual(mesh: meshmod.Mesh, material: fem.Material, U: np.ndarray) -> np.ndarray:
     """h_e ||jump(sigma n)||_e^2 per edge; zero on boundary edges.
 
     The jump (sigma_0 - sigma_1) n_0 does not depend on which side is
-    first. It is linear along the edge, so with end values a and b the
-    integral is h_e^2 / 3 (|a|^2 + a.b + |b|^2). An interior edge without
-    a second element raises ValueError.
+    first. An interior edge without a second element raises ValueError.
     """
-    values = np.zeros(mesh.n_edges)
-    interior = np.flatnonzero(mesh.edge_kind == meshmod.INTERIOR)
-    sigma, _ = _vertex_stresses(mesh, material, U)
-    e0, v0, normal = meshmod.edge_ends(mesh, interior, 0)
-    e1, v1, _ = meshmod.edge_ends(mesh, interior, 1)
-    jump = _traction(sigma[e0[:, None], v0] - sigma[e1[:, None], v1], normal)
-    a, b = jump[:, 0], jump[:, 1]
-    sq = np.einsum("ec,ec->e", a, a + b) + np.einsum("ec,ec->e", b, b)
-    values[interior] = mesh.edge_length[interior] ** 2 / 3.0 * sq
-    return values
+    return estimate(mesh, U, material).jump_edges
 
 
 def neumann_residual(mesh: meshmod.Mesh, material: fem.Material, U: np.ndarray,
                      traction=None) -> np.ndarray:
     """h_e ||g - sigma n||_e^2 per edge; zero off the Neumann boundary."""
-    values = np.zeros(mesh.n_edges)
-    neumann = np.flatnonzero(mesh.edge_kind == meshmod.NEUMANN)
-    t, w = fem.edge_quadrature_3pt()
-    elems, ends, normals = meshmod.edge_ends(mesh, neumann, 0)
-    sigma, _ = _vertex_stresses(mesh, material, U, elems)
-    sigma = np.take_along_axis(sigma, ends[:, :, None], axis=1)
-    sigma = sigma[:, :1] + t[None, :, None] * (sigma[:, 1:] - sigma[:, :1])
-    residual = -_traction(sigma, normals)
-    if traction is not None:
-        pts = meshmod.edge_points(mesh, neumann, t)
-        residual += np.array([traction(p, n) for p, n in zip(pts, normals)], dtype=float)
-    sq = np.einsum("eqc,eqc->eq", residual, residual)
-    values[neumann] = mesh.edge_length[neumann] ** 2 * (sq @ w)
-    return values
+    return estimate(mesh, U, material, LoadCase(_NO_SUPPORTS, traction=traction)).neumann_edges
 
 
 def estimate(mesh: meshmod.Mesh, U: np.ndarray, material: fem.Material,
@@ -153,34 +150,26 @@ def estimate(mesh: meshmod.Mesh, U: np.ndarray, material: fem.Material,
     edge data.
     """
     body = getattr(case, "body_force", (0.0, 0.0))
-    traction = getattr(case, "traction", None)
-
-    bulk = bulk_residual(mesh, material, U, body)
-    jump = jump_residual(mesh, material, U)
-    neumann = neumann_residual(mesh, material, U, traction)
+    sigma, inv = _vertex_stresses(mesh, material, U)
+    residual = _divergence(mesh, sigma, inv) + np.asarray(body, dtype=float)[None, :]
+    bulk = mesh.diameters ** 2 * mesh.areas * np.einsum("ec,ec->e", residual, residual)
+    edges = _edge_residuals(mesh, sigma, getattr(case, "traction", None))
+    interior = mesh.edge_kind == meshmod.INTERIOR
+    jump = np.where(interior, edges, 0.0)
+    neumann = np.where(mesh.edge_kind == meshmod.NEUMANN, edges, 0.0)
 
     # each term is zero off its own edges; an interior edge's two halves are
     # summed side 0 first, then side 1
-    interior = mesh.edge_kind == meshmod.INTERIOR
     jump_share = np.bincount(
         np.concatenate([mesh.edge_elems[interior, 0], mesh.edge_elems[interior, 1]]),
         weights=np.tile(0.5 * jump[interior], 2), minlength=mesh.n_elements)
-    neumann_share = np.bincount(mesh.edge_elems[:, 0], weights=neumann,
-                                minlength=mesh.n_elements)
-
+    neumann_share = np.bincount(mesh.edge_elems[:, 0], weights=neumann, minlength=mesh.n_elements)
     local = bulk + jump_share + neumann_share
     return ErrorBreakdown(
-        bulk=bulk,
-        jump_edges=jump,
-        neumann_edges=neumann,
-        jump_by_element=jump_share,
-        neumann_by_element=neumann_share,
-        local=local,
-        bulk_total=float(bulk.sum()),
-        jump_total=float(jump.sum()),
-        neumann_total=float(neumann.sum()),
-        eta_global=float(np.sqrt(local.sum())),
-    )
+        bulk=bulk, jump_edges=jump, neumann_edges=neumann, jump_by_element=jump_share,
+        neumann_by_element=neumann_share, local=local, bulk_total=float(bulk.sum()),
+        jump_total=float(jump.sum()), neumann_total=float(neumann.sum()),
+        eta_global=float(np.sqrt(local.sum())))
 
 
 def write_error_report(breakdown: ErrorBreakdown, mesh: meshmod.Mesh, path) -> None:

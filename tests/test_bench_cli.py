@@ -489,6 +489,27 @@ def test_option_lower_bounds_exit_two(tmp_path, capsys):
     assert not (tmp_path / "bad").exists()
 
 
+def test_out_of_choice_values_exit_two_with_one_line(tmp_path, capsys):
+    # resolve_config is the one place that checks choices: a flag outside
+    # them gets the same single line as a config-file value, not a usage block
+    cases = [(["--elem", "q3"], "--elem must be one of ['q1', 'p1', 'p2'] (got 'q3')"),
+             (["--triangulation", "fan"],
+              "--triangulation must be one of ['two', 'cross'] (got 'fan')"),
+             (["--material", "steel"], "--material must be one of "
+              "['lame', 'plane-stress', 'plane_stress'] (got 'steel')"),
+             (["--problem", "arch"],
+              "--problem must be one of ['bevel', 'bridge', 'cantilever'] (got 'arch')")]
+    for args, message in cases:
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["--problem", "cantilever", "--quiet", "--out", str(tmp_path / "bad"), *args])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "bad").exists()
+    help_text = build_parser().format_help()
+    assert "--elem {q1,p1,p2}" in help_text and "--triangulation {two,cross}" in help_text
+
+
 def test_main_bisection_failure_exits_one(tmp_path, monkeypatch, capsys):
     import topo2d.optimizer
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from topo2d import estimator
 from topo2d.estimator import (ErrorBreakdown, bulk_residual, estimate,
                               jump_residual, neumann_residual,
                               stress_divergence, write_error_report)
@@ -188,18 +189,33 @@ def test_estimate_totals_identity(family, tri):
     assert bd.eta_global > 0.0
 
 
+@pytest.mark.parametrize("family,tri", [("q1", "two_split"),
+                                        ("p1", "cross_split"),
+                                        ("p2", "two_split")])
+def test_estimate_evaluates_stresses_once(family, tri, monkeypatch):
+    # the bulk, jump and Neumann terms all read one table of vertex stresses
+    mesh, case, U = solve_cantilever(family, tri, 6, 4)
+    stresses, calls = estimator._vertex_stresses, []
+    monkeypatch.setattr(estimator, "_vertex_stresses",
+                        lambda *args: calls.append(args) or stresses(*args))
+    estimate(mesh, U, MAT, case)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("family,nx,fix_all,absent", [("q1", 1, False, "jump"),
                                                       ("p2", 2, True, "neumann")])
 def test_estimate_without_interior_or_neumann_edges(family, nx, fix_all, absent):
     # a single q1 cell has no interior edge; a p2 mesh with every node fixed
-    # has no Neumann edge. The missing term is zero per edge and per element.
+    # has no Neumann edge. The missing term is zero per edge and per element,
+    # also when the case holds a traction that no edge samples.
     mesh = generate_mesh(DomainSpec(float(nx), 1.0, nx, 1), family)
-    fixed = np.arange(mesh.n_nodes) if fix_all else west_clamped(mesh)
-    mesh = classify_boundary(mesh, fixed)
+    fixed = np.arange(mesh.n_nodes) if fix_all else west_clamped(mesh).fixed_nodes
+    case = LoadCase(fixed_nodes=fixed, traction=exact_traction)
+    mesh = classify_boundary(mesh, case)
     kind = {"jump": INTERIOR, "neumann": NEUMANN}[absent]
     assert not np.any(mesh.edge_kind == kind)
     U = nodal_field(mesh, lambda x, y: x ** 2 * y, lambda x, y: x * y ** 2)
-    bd = estimate(mesh, U, MAT)
+    bd = estimate(mesh, U, MAT, case)
 
     for name in ("bulk", "jump_by_element", "neumann_by_element", "local"):
         assert getattr(bd, name).shape == (mesh.n_elements,)

@@ -37,6 +37,7 @@ class Mutant(NamedTuple):
 
 FEM, MESH = "src/topo2d/fem.py", "src/topo2d/mesh.py"
 SOLVER, OPTIMIZER = "src/topo2d/solver.py", "src/topo2d/optimizer.py"
+ESTIMATOR = "src/topo2d/estimator.py"
 
 MUTANTS = [
     # free-node order and NATURAL factorization
@@ -130,6 +131,19 @@ MUTANTS = [
     Mutant("p2 edge midsides read in reverse", MESH,
            "conn[:, 3:].ravel()", "conn[:, 3:][:, ::-1].ravel()",
            ("tests/test_mesh.py::test_boundary_node_ids_p2_includes_midsides",)),
+    # the one edge residual behind the jump and Neumann terms
+    Mutant("second side's stress not subtracted", ESTIMATOR,
+           "    ends[inside] -= sigma[e1[:, None], v1]\n", "",
+           ("tests/test_estimator.py::test_linear_field_has_no_jumps",)),
+    Mutant("traction added, not subtracted", ESTIMATOR,
+           "        r[~inside] -= np.array(g", "        r[~inside] += np.array(g",
+           ("tests/test_estimator.py::test_uniform_tension_matching_traction",)),
+    Mutant("edge interpolation anchored at the far end", ESTIMATOR,
+           "    s = ends[:, :1] + t[None, :, None]", "    s = ends[:, 1:] + t[None, :, None]",
+           ("tests/test_estimator.py::test_edge_residuals_match_gauss_point_oracle",)),
+    Mutant("boundary edges kept in the jump term", ESTIMATOR,
+           "    jump = np.where(interior, edges, 0.0)", "    jump = edges",
+           ("tests/test_estimator.py::test_two_triangle_jump_hand_computed",)),
 ]
 
 
