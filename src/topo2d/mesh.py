@@ -327,6 +327,8 @@ def classify_boundary(mesh: Mesh, case) -> Mesh:
     Returns a new mesh sharing all other arrays.
     """
     fixed = np.asarray(getattr(case, "fixed_nodes", case), dtype=np.int64)
+    if np.any((fixed < 0) | (fixed >= mesh.n_nodes)):
+        raise ValueError(f"fixed nodes must lie in [0, {mesh.n_nodes})")
     is_fixed = np.zeros(mesh.n_nodes, dtype=bool)
     is_fixed[fixed] = True
     kind = mesh.edge_kind.copy()

@@ -13,7 +13,8 @@ reduced matrix in NATURAL order. The pattern comes from numbered 2x2 node
 blocks that scipy lays out in CSC order; entries on a pinned node share one
 sentinel slot. asm.free, and the free_dofs of apply_dirichlet, stay in node
 pairs (x then y). The full K is built only when GlobalSystem.K is read;
-prescribed values are lifted into the right-hand side element by element.
+prescribed values u_c lift into the right-hand side as K u_c. Loads are
+built node by component, (n_nodes, 2), and flattened to dof order.
 StiffnessAssembler.solve and solve() share one sequence. Every solve is
 checked once against its own relative residual; a zero right-hand side is
 checked by solving a fixed probe instead.
@@ -58,11 +59,7 @@ class LoadCase:
 
 def element_dof_matrix(conn: np.ndarray) -> np.ndarray:
     """Interleaved dof indices per element, shape (E, 2k)."""
-    n_el, k = conn.shape
-    dofs = np.empty((n_el, 2 * k), dtype=np.int64)
-    dofs[:, 0::2] = 2 * conn
-    dofs[:, 1::2] = 2 * conn + 1
-    return dofs
+    return (2 * conn[:, :, None] + np.arange(2)).reshape(len(conn), -1)
 
 
 @dataclass
@@ -102,13 +99,12 @@ def constrained_dof_ids(case: LoadCase) -> np.ndarray:
 
 def build_load_vector(mesh: meshmod.Mesh, case: LoadCase) -> np.ndarray:
     """Point loads plus consistent body-force and traction contributions."""
-    F = np.zeros(2 * mesh.n_nodes)
+    F = np.zeros((mesh.n_nodes, 2))
     for node, fx, fy in case.point_loads:
         node = int(node)
         if not 0 <= node < mesh.n_nodes:
             raise ValueError(f"point load node {node} outside [0, {mesh.n_nodes})")
-        F[2 * node] += fx
-        F[2 * node + 1] += fy
+        F[node] += (fx, fy)
 
     body = np.asarray(case.body_force, dtype=float)
     if np.any(body != 0.0):
@@ -117,9 +113,7 @@ def build_load_vector(mesh: meshmod.Mesh, case: LoadCase) -> np.ndarray:
         # integral of each shape function over the element, per unit area
         coef = rule.weights @ values
         contrib = mesh.areas[:, None] * coef[None, :]
-        dofs = element_dof_matrix(mesh.conn)
-        np.add.at(F, dofs[:, 0::2], contrib * body[0])
-        np.add.at(F, dofs[:, 1::2], contrib * body[1])
+        np.add.at(F, mesh.conn, contrib[:, :, None] * body)
 
     edges = np.flatnonzero(mesh.edge_kind == meshmod.NEUMANN)
     if case.traction is not None and len(edges):
@@ -133,8 +127,8 @@ def build_load_vector(mesh: meshmod.Mesh, case: LoadCase) -> np.ndarray:
         values = values.reshape(len(edges), len(t), -1)
         weight = mesh.edge_length[edges, None] * w[None, :]
         fe = np.einsum("mq,mqk,mqc->mkc", weight, values, g)
-        np.add.at(F, element_dof_matrix(conn), fe.reshape(len(edges), -1))
-    return F
+        np.add.at(F, conn, fe)
+    return F.ravel()
 
 
 def _density_array(densities, n_elements: int) -> np.ndarray:
@@ -163,7 +157,6 @@ class StiffnessAssembler:
 
     def __init__(self, mesh: meshmod.Mesh, material: fem.Material, case: LoadCase):
         self.mesh = mesh
-        self.material = material
         self.case = case
         coords = mesh.nodes[mesh.conn]
         self.k0 = fem.element_stiffness_batch(mesh.family, coords, material)
@@ -190,6 +183,10 @@ class StiffnessAssembler:
         """
         n_el, k = self.mesh.conn.shape
         nodes = np.setdiff1d(np.arange(self.mesh.n_nodes), self.case.fixed_nodes)
+        uses = np.bincount(self.mesh.conn.ravel(), minlength=self.mesh.n_nodes)
+        orphans = nodes[uses[nodes] == 0]
+        if len(orphans):
+            raise SingularSystemError(f"free node {orphans[0]} belongs to no element")
         n_free = len(nodes)
         rank = np.full(self.mesh.n_nodes, -1, dtype=np.int64)
         rank[nodes] = np.arange(n_free)
@@ -264,9 +261,8 @@ def apply_dirichlet(system: GlobalSystem, prescribed: np.ndarray | None = None):
     """Reduce the system to free dofs by elimination.
 
     prescribed, when given, holds 2 * n_nodes finite values; those at the
-    constrained dofs lift into the right-hand side. The lift is taken element
-    by element: each element adds x_e^p K0_e u_e, with u zero off the
-    constrained dofs, and the sum is kept on the free dofs. Returns (K_ff,
+    constrained dofs lift into the right-hand side as F - K u_c, with u_c
+    zero off the constrained dofs, kept on the free dofs. Returns (K_ff,
     rhs, free_dofs), in the assembler's elimination order asm.free.
     """
     asm = system.assembler
@@ -278,11 +274,7 @@ def apply_dirichlet(system: GlobalSystem, prescribed: np.ndarray | None = None):
                              f"got shape {prescribed.shape}")
         u_c = np.zeros(asm.ndof)
         u_c[asm.constrained] = prescribed[asm.constrained]
-        if np.any(u_c):
-            f_e = (system.x ** system.penal)[:, None] * np.einsum(
-                "eij,ej->ei", asm.k0, u_c[asm.edofs])
-            rhs = rhs - np.bincount(asm.edofs.ravel(), weights=f_e.ravel(),
-                                    minlength=asm.ndof)
+        rhs = rhs - system.K @ u_c
     return asm.reduced_matrix(system.x, system.penal), rhs[asm.free], asm.free
 
 

@@ -445,14 +445,21 @@ def test_main_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "bridge" in err and "load node 0" in err
 
-    # a file value that does not parse names its option
+    # a file value that does not parse names its option, and a sweep file
+    # with no run line is refused
     cfg_file = tmp_path / "abc.cfg"
     cfg_file.write_text("nx=abc\n")
+    bool_file = tmp_path / "maybe.cfg"
+    bool_file.write_text("quiet=maybe\n")
     sweep = tmp_path / "abc_sweep.txt"
     sweep.write_text("nx=6 ny=4 max-iters=1 volfrac=abc\n")
+    empty = tmp_path / "empty_sweep.txt"
+    empty.write_text("# no runs\n\n")
     for source, message in (
             (["--config", str(cfg_file)], "option 'nx': cannot parse int from 'abc'"),
-            (["--sweep", str(sweep)], "option 'volfrac': cannot parse float from 'abc'")):
+            (["--config", str(bool_file)], "option 'quiet': cannot parse boolean from 'maybe'"),
+            (["--sweep", str(sweep)], "option 'volfrac': cannot parse float from 'abc'"),
+            (["--sweep", str(empty)], f"sweep file {empty} contains no runs")):
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
             main(["--problem", "cantilever", "--quiet",
@@ -533,18 +540,20 @@ def _check_sweep_runs_and_combined_report(tmp_path, capsys, jobs):
         "elem=p1 nx=6 ny=4 grid=4 max-iters=2\n"
     )
     out = tmp_path / "out"
-    rc = main(["--problem", "cantilever", "--sweep", str(sweep),
-               "--jobs", jobs, "--out", str(out)])
-    assert rc == 0
-    assert (out / "run_000" / "report.csv").exists()
-    assert (out / "run_001" / "report.csv").exists()
-    with open(out / "sweep_report.csv", newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == REPORT_COLUMNS
-    assert [row[0] for row in rows[1:]] == ["Q1", "P1"]
-    assert rows[2][1] == "64"  # 4x4 cross-split cells
-    captured = capsys.readouterr()
-    assert "run_000" in captured.out and "run_001" in captured.out
+    # a second sweep into the same out replaces the combined report
+    for _ in range(2):
+        rc = main(["--problem", "cantilever", "--sweep", str(sweep),
+                   "--jobs", jobs, "--out", str(out)])
+        assert rc == 0
+        assert (out / "run_000" / "report.csv").exists()
+        assert (out / "run_001" / "report.csv").exists()
+        with open(out / "sweep_report.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == REPORT_COLUMNS
+        assert [row[0] for row in rows[1:]] == ["Q1", "P1"]
+        assert rows[2][1] == "64"  # 4x4 cross-split cells
+        captured = capsys.readouterr()
+        assert "run_000" in captured.out and "run_001" in captured.out
 
 
 def test_sweep_runs_and_combined_report(tmp_path, capsys):

@@ -317,6 +317,8 @@ def test_strain_energy_uniaxial():
     ut = np.zeros(6)
     ut[0::2] = tri[:, 0]
     assert abs(strain_energy("p1", tri, mat, ut) - 0.5 * A00) < 1e-12
+    with pytest.raises(ValueError, match="length 6, got \\(8,\\)"):
+        strain_energy("p1", tri, mat, u)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

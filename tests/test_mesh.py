@@ -214,6 +214,10 @@ def test_misoriented_or_nan_element_rejected(family):
     first = int(np.flatnonzero((mesh.conn == mesh.conn[1, 0]).any(axis=1))[0])
     with pytest.raises(ValueError, match=f"element {first} is not counterclockwise \\(area nan"):
         _build_mesh(family, nodes, mesh.conn, mesh.passive, mesh.spec)
+    # a repeated element puts a third element on its interior edges
+    conn = np.vstack([mesh.conn, mesh.conn[:1]])
+    with pytest.raises(ValueError, match="shared by more than two elements"):
+        _build_mesh(family, mesh.nodes, conn, np.append(mesh.passive, False), mesh.spec)
 
 
 def test_refine_uniform_triangles():
@@ -325,6 +329,10 @@ def test_invalid_specs_rejected():
     with pytest.raises(ValueError):
         DomainSpec(1.0, 1.0, 2, 2, shape="trapezoid",
                    right_height=2.0).validate()
+    with pytest.raises(ValueError, match="refine_level must be nonnegative"):
+        DomainSpec(1.0, 1.0, 2, 2, refine_level=-1).validate()
+    with pytest.raises(ValueError, match="trapezoid shape requires right_height"):
+        DomainSpec(1.0, 1.0, 2, 2, shape="trapezoid").validate()
     with pytest.raises(ValueError):
         generate_mesh(DomainSpec(1.0, 1.0, 2, 2), "q9")
 

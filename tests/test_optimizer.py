@@ -119,9 +119,18 @@ def test_oc_volume_constraint_met():
     x = np.full(n, 0.42)
     dc = -rng.uniform(0.1, 10.0, n)
     volumes = rng.uniform(0.2, 3.0, n)
-    xn = oc_update(x, dc, volumes, cfg)
     v0 = volumes.sum()
-    assert abs((xn * volumes).sum() - cfg.volfrac * v0) <= 1e-6 * v0
+    # at 1e-30 the multiplier lies far below the initial bracket
+    for scale in (1.0, 1e-30):
+        xn = oc_update(x, dc * scale, volumes, cfg)
+        assert abs((xn * volumes).sum() - cfg.volfrac * v0) <= 1e-6 * v0
+
+
+def test_oc_unreachable_volume_raises_bisection_error():
+    # every element can grow by move at most: 0.2 + 0.2 < 0.9
+    cfg = SimpConfig(volfrac=0.9, move=0.2)
+    with pytest.raises(BisectionError, match="did not converge"):
+        oc_update(np.full(8, 0.2), np.full(8, -1.0), np.ones(8), cfg)
 
 
 def test_oc_passive_elements_pinned():

@@ -1,5 +1,6 @@
 """Assembly and linear solve: oracles, patch tests, solver behavior."""
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -288,11 +289,40 @@ def test_point_load_validation():
         build_load_vector(mesh, case)
 
 
-def test_fixed_nodes_validated():
+def test_point_loads_add_at_their_node_dofs():
     mesh = generate_mesh(DomainSpec(1.0, 1.0, 1, 1), "q1")
-    for fixed in ([0, 99], [-1, 0]):
-        with pytest.raises(ValueError, match="fixed nodes must lie in"):
-            StiffnessAssembler(mesh, MAT, LoadCase(fixed_nodes=np.array(fixed)))
+    case = LoadCase(fixed_nodes=np.array([0]),
+                    point_loads=((2, 0.3, -0.7), (1, 1.5, 0.0), (2, 0.5, 0.25)))
+    expected = np.zeros(2 * mesh.n_nodes)
+    expected[[2, 3, 4, 5]] = [1.5, 0.0, 0.8, -0.45]
+    np.testing.assert_allclose(build_load_vector(mesh, case), expected, rtol=0, atol=1e-15)
+
+
+def test_fixed_nodes_validated():
+    # the assembler and the boundary labelling refuse the same ids; a
+    # negative id would otherwise count from the end in classify_boundary
+    mesh = generate_mesh(DomainSpec(2.0, 1.0, 2, 1), "q1")
+    message = f"fixed nodes must lie in \\[0, {mesh.n_nodes}\\)"
+    for fixed in ([0, 99], [-1, 0], [-1, -2], [mesh.n_nodes]):
+        case = LoadCase(fixed_nodes=np.array(fixed))
+        with pytest.raises(ValueError, match=message):
+            StiffnessAssembler(mesh, MAT, case)
+        with pytest.raises(ValueError, match=message):
+            classify_boundary(mesh, case)
+
+
+def test_free_node_outside_every_element_is_singular():
+    # a node that no element touches has no stiffness; fixing one is fine
+    base = generate_mesh(DomainSpec(2.0, 1.0, 2, 1), "q1")
+    n = base.n_nodes
+    mesh = dataclasses.replace(base, nodes=np.vstack([base.nodes, [[5.0, 5.0], [6.0, 6.0]]]))
+    west = np.flatnonzero(np.isclose(base.nodes[:, 0], 0.0))
+    case = LoadCase(fixed_nodes=np.append(west, n), point_loads=((n - 1, 0.0, -1.0),))
+    x = np.ones(mesh.n_elements)
+    with pytest.raises(SingularSystemError, match=f"free node {n + 1} belongs to no element"):
+        StiffnessAssembler(mesh, MAT, case).solve(x, 3.0)
+    with pytest.raises(SingularSystemError, match=f"free node {n + 1} belongs to no element"):
+        solve(assemble(mesh, x, 3.0, MAT, case))
 
 
 def test_refinement_softens_structure():

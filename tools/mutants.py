@@ -37,7 +37,7 @@ class Mutant(NamedTuple):
 
 FEM, MESH = "src/topo2d/fem.py", "src/topo2d/mesh.py"
 SOLVER, OPTIMIZER = "src/topo2d/solver.py", "src/topo2d/optimizer.py"
-ESTIMATOR = "src/topo2d/estimator.py"
+ESTIMATOR, CLI = "src/topo2d/estimator.py", "src/topo2d/cli.py"
 
 MUTANTS = [
     # free-node order and NATURAL factorization
@@ -59,6 +59,25 @@ MUTANTS = [
            "        if prescribed.shape != (asm.ndof,) or not np.all(np.isfinite(prescribed)):",
            "        if False:",
            ("tests/test_solver.py::test_prescribed_values_validated",)),
+    Mutant("free node outside every element accepted", SOLVER,
+           "        if len(orphans):", "        if False:",
+           ("tests/test_solver.py::test_free_node_outside_every_element_is_singular",)),
+    Mutant("fixed nodes outside the mesh labelled", MESH,
+           "    if np.any((fixed < 0) | (fixed >= mesh.n_nodes)):", "    if False:",
+           ("tests/test_solver.py::test_fixed_nodes_validated",)),
+    # boundary data: loads node by component, the lift through K
+    Mutant("Dirichlet lift added, not subtracted", SOLVER,
+           "        rhs = rhs - system.K @ u_c", "        rhs = rhs + system.K @ u_c",
+           ("tests/test_solver.py::test_linear_patch",)),
+    Mutant("body-force components swapped", SOLVER,
+           "contrib[:, :, None] * body)", "contrib[:, :, None] * body[::-1])",
+           ("tests/test_solver.py::test_body_force_load_vector",)),
+    Mutant("point-load components swapped", SOLVER,
+           "        F[node] += (fx, fy)", "        F[node] += (fy, fx)",
+           ("tests/test_solver.py::test_point_loads_add_at_their_node_dofs",)),
+    Mutant("dof table interleave reversed", SOLVER,
+           "(2 * conn[:, :, None] + np.arange(2))", "(2 * conn[:, :, None] + np.arange(2)[::-1])",
+           ("tests/test_solver.py::test_element_dof_matrix_interleaving",)),
     # element stiffness as matrix products, and element geometry checks
     Mutant("NaN determinant passes the K0 check", FEM,
            "    bad = ~(det > 0.0)", "    bad = det <= 0.0",
@@ -144,6 +163,10 @@ MUTANTS = [
     Mutant("boundary edges kept in the jump term", ESTIMATOR,
            "    jump = np.where(interior, edges, 0.0)", "    jump = edges",
            ("tests/test_estimator.py::test_two_triangle_jump_hand_computed",)),
+    # sweep output
+    Mutant("stale combined sweep report kept", CLI,
+           "        os.remove(combined)", "        pass",
+           ("tests/test_bench_cli.py::test_sweep_runs_and_combined_report",)),
 ]
 
 
