@@ -2,7 +2,9 @@
 
 Rasters map density to grayscale as 255 * (1 - x), so solid material is
 black. Quad grids raster one pixel per cell; triangulations are sampled
-by point-in-element lookup at 8 pixels per unit length.
+at 8 pixels per unit length, each pixel in the lowest-numbered element
+holding its centre, found by descending mesh.CELL_SPLITS and
+mesh.RED_CHILDREN.
 """
 
 import csv
@@ -10,7 +12,8 @@ import os
 
 import numpy as np
 
-from .mesh import Mesh, write_rows, write_vtk
+from .fem import LOCAL_EDGES, REF_CORNERS
+from .mesh import CELL_SPLITS, RED_CHILDREN, Mesh, write_rows, write_vtk
 
 PIXELS_PER_UNIT = 8
 
@@ -41,21 +44,34 @@ def write_pgm(image: np.ndarray, path) -> None:
         fh.write(image.tobytes())
 
 
+def _first_holding(corners: np.ndarray, rows, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each point ref (n, 2), the lowest triangle of rows (index triples
+    into corners) whose barycentrics are all >= -1e-9 (the first when none
+    holds it), and the point's reference coordinates in that triangle."""
+    verts = corners[np.asarray(rows)]
+    frames = np.concatenate([np.ones((len(verts), 1, 3)), verts.transpose(0, 2, 1)], axis=1)
+    inverse = np.linalg.inv(frames)
+    bary = inverse[:, :, 1:] @ ref.T
+    bary += inverse[:, :, :1]
+    k = np.argmax(bary.min(axis=1) >= -1e-9, axis=0)
+    return k, bary[k, 1:, np.arange(len(k))]
+
+
 def _locate_triangles(mesh: Mesh, points: np.ndarray) -> np.ndarray:
     """Lowest-numbered element containing each point, at barycentric tolerance 1e-9.
 
     Base cell c = j*nx + i of the generator's grid owns elements c*m to
-    (c+1)*m - 1, and red refinement puts the children of element e at
-    4e..4e+3. So each point picks its cell, then its base triangle, then one
-    child per refine level, from barycentrics in unit-cell coordinates; a
-    point within the tolerance of a shared side takes the lower id, so that
-    rounding in the cell coordinates cannot move it.
+    (c+1)*m - 1, split as mesh.CELL_SPLITS says, and red refinement puts the
+    children of element e at 4e..4e+3 as mesh.RED_CHILDREN says. So each
+    point picks its cell, then its base triangle in unit-cell coordinates,
+    then one child per refine level in reference coordinates; a point within
+    the tolerance of a shared side takes the lower id, so that rounding in
+    the cell coordinates cannot move it.
     """
     spec = mesh.spec
     nx, ny, levels = spec.nx, spec.ny, spec.refine_level
-    cross = spec.triangulation == "cross_split"
-    per_cell = 4 if cross else 2
-    m = per_cell * 4 ** levels
+    split = CELL_SPLITS[spec.triangulation]
+    m = len(split) * len(RED_CHILDREN) ** levels
     if m * nx * ny != mesh.n_elements:
         raise ValueError(f"mesh has {mesh.n_elements} elements, not the {m * nx * ny} "
                          "its spec generates; cannot locate points in it")
@@ -63,27 +79,16 @@ def _locate_triangles(mesh: Mesh, points: np.ndarray) -> np.ndarray:
     sx, sy = points[:, 0] * (nx / spec.width), points[:, 1] * (ny / spec.height)
     i = np.clip(np.ceil(sx - tol) - 1, 0, nx - 1)
     j = np.clip(np.ceil(sy - tol) - 1, 0, ny - 1)
-    u, v = sx - i, sy - j
-    if cross:
-        # bottom, right, top and left triangles around the cell centre
-        d1, d2 = v - u, u + v - 1.0
-        k = np.where(d1 <= tol, np.where(d2 <= tol, 0, 1), np.where(d2 >= -tol, 2, 3))
-        bary = np.stack([(-d2, -d1, 2.0 * v), (-d1, d2, 2.0 - 2.0 * u),
-                         (d2, d1, 2.0 - 2.0 * v), (d1, -d2, 2.0 * u)])
-    else:
-        k = np.where(v <= u + tol, 0, 1)
-        bary = np.stack([(1.0 - u, u - v, v), (1.0 - v, u, v - u)])
-    bary = bary[k, :, np.arange(len(k))].T
-    elem = (j * nx + i).astype(np.int64) * per_cell + k
+    # the points the tables index: the unit cell's corners and centre, and
+    # the reference triangle's vertices and edge midpoints
+    cell_points = np.vstack([(REF_CORNERS["q1"] + 1.0) / 2.0, [(0.5, 0.5)]])
+    tri = REF_CORNERS["p1"]
+    tri_points = np.vstack([tri, tri[np.array(LOCAL_EDGES["p1"])].mean(axis=1)])
+    k, ref = _first_holding(cell_points, split, np.column_stack([sx - i, sy - j]))
+    elem = (j * nx + i).astype(np.int64) * len(split) + k
     for _ in range(levels):
-        bary *= 2.0
-        corner_hit = bary >= 1.0 - tol
-        child = np.where(corner_hit.any(axis=0), corner_hit.argmax(axis=0), 3)
-        # corner child c: (2l0, 2l1, 2l2) less one at c; middle: (1-2l2, 1-2l0, 1-2l1)
-        corner = child < 3
-        bary[child[corner], np.flatnonzero(corner)] -= 1.0
-        bary[:, ~corner] = 1.0 - bary[[2, 0, 1]][:, ~corner]
-        elem = 4 * elem + child
+        child, ref = _first_holding(tri_points, RED_CHILDREN, ref)
+        elem = len(RED_CHILDREN) * elem + child
     return elem
 
 

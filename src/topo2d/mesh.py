@@ -7,7 +7,10 @@ case, one lookup of an edge in its elements (edge_ends), and VTK export.
 
 Node numbering is lexicographic by (y, x); auxiliary nodes (cell centers,
 refinement midpoints, quadratic midsides) are appended in deterministic
-order so repeated generation is bit-for-bit reproducible.
+order so repeated generation is bit-for-bit reproducible. Element numbering
+follows two tables, which export's raster locator descends too: CELL_SPLITS
+gives the triangles of one grid cell, RED_CHILDREN the four children of a
+refined triangle.
 """
 
 import dataclasses
@@ -27,6 +30,17 @@ SHAPES = ("rectangle", "trapezoid")
 TRIANGULATIONS = ("two_split", "cross_split")
 
 _GEOM_TOL = 1e-12
+
+#: counterclockwise triangles of one grid cell per split, over the cell's
+#: (n00, n10, n11, n01, centre); cell c owns elements c*m to (c+1)*m - 1
+CELL_SPLITS = {
+    "two_split": ((0, 1, 2), (0, 2, 3)),
+    "cross_split": ((0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 0, 4)),
+}
+
+#: red refinement's children of a triangle, over its (v0, v1, v2) and then
+#: its edge midpoints in LOCAL_EDGES["p1"] order; children of e are 4e..4e+3
+RED_CHILDREN = ((0, 3, 5), (3, 1, 4), (5, 4, 2), (3, 4, 5))
 
 
 @dataclass(frozen=True)
@@ -128,28 +142,6 @@ def _quad_grid(nx: int, ny: int) -> np.ndarray:
     return np.column_stack([n00, n00 + 1, n00 + nx + 2, n00 + nx + 1])
 
 
-def _two_split(nx: int, ny: int) -> np.ndarray:
-    quads = _quad_grid(nx, ny)
-    n00, n10, n11, n01 = quads.T
-    tris = np.empty((2 * len(quads), 3), dtype=np.int64)
-    tris[0::2] = np.column_stack([n00, n10, n11])
-    tris[1::2] = np.column_stack([n00, n11, n01])
-    return tris
-
-
-def _cross_split(points: np.ndarray, nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:
-    quads = _quad_grid(nx, ny)
-    centers = points[quads].mean(axis=1)
-    cids = len(points) + np.arange(len(quads))
-    n00, n10, n11, n01 = quads.T
-    tris = np.empty((4 * len(quads), 3), dtype=np.int64)
-    tris[0::4] = np.column_stack([n00, n10, cids])
-    tris[1::4] = np.column_stack([n10, n11, cids])
-    tris[2::4] = np.column_stack([n11, n01, cids])
-    tris[3::4] = np.column_stack([n01, n00, cids])
-    return np.vstack([points, centers]), tris
-
-
 def _unique_edges(conn: np.ndarray, local=LOCAL_EDGES["p1"]):
     """Group the local edges of every element by their vertex pair.
 
@@ -183,14 +175,7 @@ def _with_midpoints(points: np.ndarray, tris: np.ndarray,
 def _refine_triangulation(points: np.ndarray, tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One red refinement sweep: each triangle becomes 4 congruent children."""
     points2, mids = _with_midpoints(points, tris)
-    v0, v1, v2 = tris.T
-    m01, m12, m20 = mids.T
-    children = np.empty((4 * len(tris), 3), dtype=np.int64)
-    children[0::4] = np.column_stack([v0, m01, m20])
-    children[1::4] = np.column_stack([m01, v1, m12])
-    children[2::4] = np.column_stack([m20, m12, v2])
-    children[3::4] = np.column_stack([m01, m12, m20])
-    return points2, children
+    return points2, np.hstack([tris, mids])[:, RED_CHILDREN].reshape(-1, 3)
 
 
 def _triangle_family(family: str, points: np.ndarray,
@@ -290,10 +275,12 @@ def generate_mesh(spec: DomainSpec, family: str) -> Mesh:
         conn = _quad_grid(nx, ny)
     else:
         points = _grid_points(spec.width, spec.height, spec.nx, spec.ny)
-        if spec.triangulation == "two_split":
-            tris = _two_split(spec.nx, spec.ny)
-        else:
-            points, tris = _cross_split(points, spec.nx, spec.ny)
+        cells = _quad_grid(spec.nx, spec.ny)
+        if spec.triangulation == "cross_split":
+            centres = len(points) + np.arange(len(cells))
+            points = np.vstack([points, points[cells].mean(axis=1)])
+            cells = np.column_stack([cells, centres])
+        tris = cells[:, CELL_SPLITS[spec.triangulation]].reshape(-1, 3)
         for _ in range(spec.refine_level):
             points, tris = _refine_triangulation(points, tris)
         nodes, conn = _triangle_family(family, points, tris)

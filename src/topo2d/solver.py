@@ -98,15 +98,20 @@ def constrained_dof_ids(case: LoadCase) -> np.ndarray:
 
 
 def build_load_vector(mesh: meshmod.Mesh, case: LoadCase) -> np.ndarray:
-    """Point loads plus consistent body-force and traction contributions."""
+    """Point loads plus consistent body-force and traction contributions.
+    A load on a node outside the mesh, or a NaN or infinite load, raises ValueError."""
     F = np.zeros((mesh.n_nodes, 2))
     for node, fx, fy in case.point_loads:
         node = int(node)
         if not 0 <= node < mesh.n_nodes:
             raise ValueError(f"point load node {node} outside [0, {mesh.n_nodes})")
+        if not np.all(np.isfinite((fx, fy))):
+            raise ValueError(f"point load on node {node} must be finite, got ({fx}, {fy})")
         F[node] += (fx, fy)
 
     body = np.asarray(case.body_force, dtype=float)
+    if not np.all(np.isfinite(body)):
+        raise ValueError(f"body force must be finite, got {tuple(body.tolist())}")
     if np.any(body != 0.0):
         rule = fem.quadrature_rule(mesh.family)
         values, _ = fem.shape_functions_at(mesh.family, rule.points)
@@ -122,6 +127,8 @@ def build_load_vector(mesh: meshmod.Mesh, case: LoadCase) -> np.ndarray:
         ref, normals = meshmod.edge_trace(mesh, edges, t)
         # the traction callable sees one edge at a time: points (q, 2), normal (2,)
         g = np.array([case.traction(p, n) for p, n in zip(pts, normals)], dtype=float)
+        if not np.all(np.isfinite(g)):
+            raise ValueError("traction must be finite on every Neumann edge")
         conn = mesh.conn[mesh.edge_elems[edges, 0]]
         values, _ = fem.shape_functions_at(mesh.family, ref.reshape(-1, 2))
         values = values.reshape(len(edges), len(t), -1)
@@ -192,20 +199,20 @@ class StiffnessAssembler:
         rank[nodes] = np.arange(n_free)
         rank = rank[self.mesh.conn]
         pair_ok = (rank[:, :, None] >= 0) & (rank[:, None, :] >= 0)
-        keys, pair = np.unique((rank[:, None, :] * n_free + rank[:, :, None])[pair_ok],
-                               return_inverse=True)
+        rows = np.broadcast_to(rank[:, :, None], pair_ok.shape)[pair_ok]
+        cols = np.broadcast_to(rank[:, None, :], pair_ok.shape)[pair_ok]
         # minimum degree needs only the graph: the incomplete LU of a
         # diagonally dominant matrix on it finds the order without the fill
-        # of a full factor. perm holds each free node's new place.
-        rows, cols = keys % n_free, keys // n_free
+        # of a full factor (repeated pairs sum, so the diagonal still
+        # dominates). perm holds each free node's new place.
         graph = sp.csc_matrix((np.where(rows == cols, n_free, -1.0), (rows, cols)),
                               shape=(n_free, n_free))
         perm = spla.spilu(graph, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                           drop_tol=1.0, fill_factor=1.0).perm_c
         nodes = nodes[np.argsort(perm)]
         # column-major keys sort node pairs by column node, then row node
-        keys, renumbered = np.unique(perm[cols] * n_free + perm[rows], return_inverse=True)
-        pair = renumbered[pair]
+        keys, pair = np.unique(perm[cols] * n_free + perm[rows], return_inverse=True)
+        del rows, cols, graph
         # number the 4 entries of every block and let scipy lay them out: a
         # block row of K^T is a CSC column of K, so block b holds the number
         # of entry (2I+a, 2J+c) at [c, a]

@@ -41,6 +41,22 @@ def test_cross_split_counts():
     assert mesh.n_nodes - mesh.n_edges + mesh.n_elements == 1
 
 
+def test_numbering_convention_literal():
+    # the raster's tie rule (lowest id wins) rests on this exact numbering;
+    # grid nodes run (0,0), (1,0), (0,1), (1,1), then the cell centre
+    two = generate_mesh(DomainSpec(1.0, 1.0, 1, 1, triangulation="two_split"), "p1")
+    np.testing.assert_array_equal(two.conn, [[0, 1, 3], [0, 3, 2]])
+    cross = generate_mesh(DomainSpec(1.0, 1.0, 1, 1, triangulation="cross_split"), "p1")
+    np.testing.assert_array_equal(cross.conn, [[0, 1, 4], [1, 3, 4], [3, 2, 4], [2, 0, 4]])
+    np.testing.assert_array_equal(cross.nodes[4], [0.5, 0.5])
+    # red children of (v0, v1, v2): three corners, then the middle one, over
+    # the midpoints m01, m12, m20; midpoint ids follow the sorted vertex pairs
+    fine = refine_uniform(two)
+    np.testing.assert_array_equal(fine.nodes[4:], [[0.5, 0.0], [0.0, 0.5], [0.5, 0.5],
+                                                   [1.0, 0.5], [0.5, 1.0]])
+    np.testing.assert_array_equal(fine.conn[:4], [[0, 4, 6], [4, 1, 7], [6, 7, 3], [4, 7, 6]])
+
+
 def test_benchmark_scale_triangle_counts():
     assert generate_mesh(
         DomainSpec(32.0, 20.0, 24, 24, triangulation="cross_split"),

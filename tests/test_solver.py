@@ -289,6 +289,22 @@ def test_point_load_validation():
         build_load_vector(mesh, case)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_loads_rejected(bad):
+    # a NaN or infinite load is the caller's error, not a singular stiffness
+    mesh = classify_boundary(generate_mesh(DomainSpec(2.0, 1.0, 2, 1), "q1"), np.array([0, 3]))
+    cases = {
+        "point load on node 5": LoadCase(np.array([0, 3]), point_loads=((5, bad, 0.0),)),
+        "body force": LoadCase(np.array([0, 3]), body_force=(0.0, bad)),
+        "traction": LoadCase(np.array([0, 3]), traction=lambda p, n: np.full((len(p), 2), bad)),
+    }
+    for name, case in cases.items():
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            build_load_vector(mesh, case)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            StiffnessAssembler(mesh, MAT, case).solve(np.ones(mesh.n_elements), 3.0)
+
+
 def test_point_loads_add_at_their_node_dofs():
     mesh = generate_mesh(DomainSpec(1.0, 1.0, 1, 1), "q1")
     case = LoadCase(fixed_nodes=np.array([0]),

@@ -38,6 +38,7 @@ class Mutant(NamedTuple):
 FEM, MESH = "src/topo2d/fem.py", "src/topo2d/mesh.py"
 SOLVER, OPTIMIZER = "src/topo2d/solver.py", "src/topo2d/optimizer.py"
 ESTIMATOR, CLI = "src/topo2d/estimator.py", "src/topo2d/cli.py"
+EXPORT = "src/topo2d/export.py"
 
 MUTANTS = [
     # free-node order and NATURAL factorization
@@ -46,7 +47,7 @@ MUTANTS = [
            "        perm = np.arange(n_free)\n        nodes = nodes[np.argsort(perm)]\n",
            ("tests/test_solver.py::test_node_order_fills_like_dof_minimum_degree",)),
     Mutant("node pairs not renumbered", SOLVER,
-           "        pair = renumbered[pair]\n", "",
+           "np.unique(perm[cols] * n_free + perm[rows]", "np.unique(cols * n_free + rows",
            ("tests/test_solver.py::test_assembler_reduced_solve_matches_oracle",)),
     Mutant("K factored in MMD_AT_PLUS_A order", SOLVER,
            'spla.splu(K_ff, permc_spec="NATURAL"', 'spla.splu(K_ff, permc_spec="MMD_AT_PLUS_A"',
@@ -72,6 +73,15 @@ MUTANTS = [
     Mutant("body-force components swapped", SOLVER,
            "contrib[:, :, None] * body)", "contrib[:, :, None] * body[::-1])",
            ("tests/test_solver.py::test_body_force_load_vector",)),
+    Mutant("non-finite point load accepted", SOLVER,
+           "        if not np.all(np.isfinite((fx, fy))):", "        if False:",
+           ("tests/test_solver.py::test_non_finite_loads_rejected",)),
+    Mutant("non-finite body force accepted", SOLVER,
+           "    if not np.all(np.isfinite(body)):", "    if False:",
+           ("tests/test_solver.py::test_non_finite_loads_rejected",)),
+    Mutant("non-finite traction accepted", SOLVER,
+           "        if not np.all(np.isfinite(g)):", "        if False:",
+           ("tests/test_solver.py::test_non_finite_loads_rejected",)),
     Mutant("point-load components swapped", SOLVER,
            "        F[node] += (fx, fy)", "        F[node] += (fy, fx)",
            ("tests/test_solver.py::test_point_loads_add_at_their_node_dofs",)),
@@ -150,6 +160,27 @@ MUTANTS = [
     Mutant("p2 edge midsides read in reverse", MESH,
            "conn[:, 3:].ravel()", "conn[:, 3:][:, ::-1].ravel()",
            ("tests/test_mesh.py::test_boundary_node_ids_p2_includes_midsides",)),
+    # one table per mesh split and per red refinement, read by the raster locator
+    Mutant("cross-split rows permuted", MESH,
+           '    "cross_split": ((0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 0, 4)),',
+           '    "cross_split": ((1, 2, 4), (0, 1, 4), (2, 3, 4), (3, 0, 4)),',
+           ("tests/test_mesh.py::test_numbering_convention_literal",)),
+    Mutant("locator tolerance dropped", EXPORT,
+           "bary.min(axis=1) >= -1e-9", "bary.min(axis=1) >= 0.0",
+           ("tests/test_bench_cli.py::test_triangle_locator_matches_brute_force",
+            "tests/test_bench_cli.py::test_triangle_locator_on_grid_cells")),
+    Mutant("highest holding triangle taken", EXPORT,
+           "    k = np.argmax(bary.min(axis=1) >= -1e-9, axis=0)\n",
+           "    k = len(verts) - 1 - np.argmax((bary.min(axis=1) >= -1e-9)[::-1], axis=0)\n",
+           ("tests/test_bench_cli.py::test_triangle_locator_matches_brute_force",)),
+    Mutant("midpoints reversed in the child maps", EXPORT,
+           'tri[np.array(LOCAL_EDGES["p1"])].mean(axis=1)',
+           'tri[np.array(LOCAL_EDGES["p1"])].mean(axis=1)[::-1]',
+           ("tests/test_bench_cli.py::test_triangle_locator_matches_brute_force",)),
+    Mutant("locator cell column not clipped", EXPORT,
+           "    i = np.clip(np.ceil(sx - tol) - 1, 0, nx - 1)",
+           "    i = np.ceil(sx - tol) - 1",
+           ("tests/test_bench_cli.py::test_triangle_locator_matches_brute_force",)),
     # the one edge residual behind the jump and Neumann terms
     Mutant("second side's stress not subtracted", ESTIMATOR,
            "    ends[inside] -= sigma[e1[:, None], v1]\n", "",
