@@ -4,12 +4,14 @@ Options resolve in precedence order: explicit flags > sweep line > config
 file > preset defaults. Config files are flat key=value text mirroring the
 flags; a sweep file holds one such assignment list per line. Its runs
 execute in one worker pool of min(lines, --jobs or half the cores) workers
-(--jobs at least 0), each into its own output directory. A failing line
-does not stop the others: every line runs, then the sweep exits 1 with no
-combined report.
+(--jobs at least 0), each into its own output directory. A line whose
+solve fails does not stop the others: every line runs, sweep_status.csv
+records each line's status, sweep_report.csv holds the rows of the lines
+that succeeded, and the sweep exits 1 if any line failed.
 """
 
 import argparse
+import csv
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
@@ -300,11 +302,20 @@ def run(cfg: RunConfig) -> RunReport:
     )
 
 
+def _run_line(cfg: RunConfig):
+    """One sweep line: (its RunReport, "") or (None, the message of its solver failure)."""
+    try:
+        return run(cfg), ""
+    except SolveError as exc:
+        return None, str(exc)
+
+
 def run_sweep(sweep_path, flags: dict, jobs: int, file_values: dict | None = None) -> list:
     """Run every sweep line, layered over the config-file entries, in one worker pool.
 
-    A failed run's error is raised once every line has run, before the
-    combined report is written.
+    Writes sweep_status.csv (index, status, message) for every line and
+    sweep_report.csv for the lines that succeeded, then raises SolveError,
+    naming the first failed line, if any line's solve failed.
     """
     configs = []
     file_values = file_values or {}
@@ -325,24 +336,31 @@ def run_sweep(sweep_path, flags: dict, jobs: int, file_values: dict | None = Non
     if not configs:
         raise ValueError(f"sweep file {sweep_path} contains no runs")
     with Pool(min(len(configs), jobs or max(1, cpu_count() // 2))) as pool:
-        reports = pool.map(run, configs)
+        outcomes = pool.map(_run_line, configs)
 
-    combined = os.path.join(base_out, "sweep_report.csv")
-    if os.path.exists(combined):
-        os.remove(combined)
-    for index, report in enumerate(reports):
-        export.append_report(
-            combined,
-            export.report_row(report.family, report.n_elements,
-                              report.compliance, report.iterations, report.breakdown),
-        )
+    status, rows = [["index", "status", "message"]], [export.REPORT_COLUMNS]
+    for index, (report, message) in enumerate(outcomes):
+        status.append([index, "failed" if report is None else "ok", message])
+        if report is None:
+            print(f"run_{index:03d}: failed: {message}")
+            continue
+        rows.append(export.report_row(report.family, report.n_elements,
+                                      report.compliance, report.iterations, report.breakdown))
         print(
             f"run_{index:03d}: {report.config['problem']} {report.family} "
             f"{report.n_elements} elements, objective {report.compliance:.6f}, "
             f"{report.iterations} iterations"
         )
-    print(f"combined report: {combined}")
-    return reports
+    for name, table in (("sweep_status.csv", status), ("sweep_report.csv", rows)):
+        with open(os.path.join(base_out, name), "w", newline="") as fh:
+            csv.writer(fh).writerows(table)
+    print(f"combined report: {os.path.join(base_out, 'sweep_report.csv')}")
+    failed = [row for row in status[1:] if row[1] == "failed"]
+    if failed:
+        index, _, message = failed[0]
+        raise SolveError(f"{len(failed)} of {len(outcomes)} sweep runs failed; "
+                         f"first run_{index:03d}: {message}")
+    return [report for report, _ in outcomes]
 
 
 def main(argv=None) -> int:

@@ -5,9 +5,10 @@ free degrees of freedom, solved with a sparse direct factorization, and
 expanded back.
 
 Every solve reduces K through StiffnessAssembler. At its first reduced
-matrix it numbers the free nodes once, in minimum degree order of their
-graph, and fixes the CSC pattern of the reduced matrix in that order
-together with the slot of every element-matrix entry in it. Each assembly
+matrix it numbers the free nodes once, by nested dissection on the mesh
+lines that no element crosses, with minimum degree order of their graph
+inside each block, and fixes the CSC pattern of the reduced matrix in that
+order together with the slot of every element-matrix entry in it. Each assembly
 is one weighted bincount into that pattern, and SuperLU factors every
 reduced matrix in NATURAL order. The pattern comes from numbered 2x2 node
 blocks that scipy lays out in CSC order; entries on a pinned node share one
@@ -204,12 +205,53 @@ class StiffnessAssembler:
         # minimum degree needs only the graph: the incomplete LU of a
         # diagonally dominant matrix on it finds the order without the fill
         # of a full factor (repeated pairs sum, so the diagonal still
-        # dominates). perm holds each free node's new place.
+        # dominates). perm holds each free node's minimum degree place.
         graph = sp.csc_matrix((np.where(rows == cols, n_free, -1.0), (rows, cols)),
                               shape=(n_free, n_free))
         perm = spla.spilu(graph, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                           drop_tol=1.0, fill_factor=1.0).perm_c
-        nodes = nodes[np.argsort(perm)]
+        # nested dissection on mesh lines: a node coordinate m that no element
+        # spans (min < m < max on that axis) separates the nodes on its two
+        # sides, and the domain's two ends always qualify. place holds each
+        # free node's coordinate in units of these lines (even on a line, odd
+        # between two) and box each node's box, [low, high] per axis
+        place = np.empty((2, n_free), dtype=np.int64)
+        box = np.empty((2, 2, n_free), dtype=np.int64)
+        for axis in range(2):
+            values, index = np.unique(self.mesh.nodes[:, axis], return_inverse=True)
+            span, n = index[self.mesh.conn], len(values)
+            crossed = np.cumsum(np.bincount(span.min(1) + 1, minlength=n + 1)
+                                - np.bincount(span.max(1), minlength=n + 1))[:n]
+            on_line = crossed == 0
+            line_place = 2 * np.cumsum(on_line) - 1 - on_line
+            place[axis] = line_place[index[nodes]]
+            box[:, axis] = line_place[[0, -1], None]
+        # level by level, every live box splits at its middle interior line on
+        # its wider axis, which has more lines (x on a tie): each node records
+        # 0 (low side), 1 (high side) or 2 (on the cut, where it stops); a box
+        # with no interior line (high - low == 2) is a leaf block
+        bounds, at_node = box.reshape(2, -1), np.arange(n_free)
+        live = np.ones(n_free, dtype=bool)
+        digits = []
+        while True:
+            width = box[1] - box[0]
+            at = at_node + n_free * (width[1] > width[0])
+            low, high, pos = bounds[0, at], bounds[1, at], place.ravel()[at]
+            live &= high - low > 2
+            if not live.any():
+                break
+            cut = low + 2 * ((high - low) // 4)
+            digits.append(np.where(live, np.where(pos == cut, np.int8(2), pos > cut), 0))
+            live &= pos != cut
+            bounds[0, at] = np.where(pos > cut, cut, low)
+            bounds[1, at] = np.where(pos < cut, cut, high)
+        # separators follow both halves; inside a block the MMD rank decides.
+        # perm becomes each free node's place, in int64 so the pair keys below
+        # cannot overflow
+        order = np.lexsort([perm, *digits[::-1]])
+        perm = np.empty_like(order)
+        perm[order] = np.arange(n_free)
+        nodes = nodes[order]
         # column-major keys sort node pairs by column node, then row node
         keys, pair = np.unique(perm[cols] * n_free + perm[rows], return_inverse=True)
         del rows, cols, graph

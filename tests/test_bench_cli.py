@@ -552,6 +552,8 @@ def _check_sweep_runs_and_combined_report(tmp_path, capsys, jobs):
         assert rows[0] == REPORT_COLUMNS
         assert [row[0] for row in rows[1:]] == ["Q1", "P1"]
         assert rows[2][1] == "64"  # 4x4 cross-split cells
+        with open(out / "sweep_status.csv", newline="") as fh:
+            assert list(csv.reader(fh))[1:] == [["0", "ok", ""], ["1", "ok", ""]]
         captured = capsys.readouterr()
         assert "run_000" in captured.out and "run_001" in captured.out
 
@@ -567,19 +569,30 @@ def test_sweep_runs_and_combined_report_with_two_workers(tmp_path, capsys):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_sweep_runs_every_line_then_reports_a_failure(tmp_path, capsys, jobs):
-    # x ** 1e6 underflows to 0, so the first line's solve is exactly
-    # singular; the second line still runs, with one pool or worker count
+    # x ** 1e6 underflows to 0, so the second line's solve is exactly
+    # singular; the other lines still run and keep their report rows, with
+    # one pool or worker count
     sweep = tmp_path / "sweep.txt"
-    sweep.write_text("nx=6 ny=4 max-iters=2 penal=1e6\nnx=6 ny=4 max-iters=2\n")
+    sweep.write_text("elem=q1 nx=6 ny=4 max-iters=2\nnx=6 ny=4 max-iters=2 penal=1e6\n"
+                     "elem=p1 nx=6 ny=4 max-iters=2\n")
     out = tmp_path / "out"
     capsys.readouterr()
     rc = main(["--problem", "cantilever", "--sweep", str(sweep),
                "--jobs", jobs, "--out", str(out)])
     assert rc == 1
-    assert capsys.readouterr().err == ("solver failure: direct factorization failed: "
-                                       "Factor is exactly singular\n")
-    assert (out / "run_001" / "report.csv").exists()
-    assert not (out / "sweep_report.csv").exists()
+    singular = "direct factorization failed: Factor is exactly singular"
+    assert capsys.readouterr().err == (f"solver failure: 1 of 3 sweep runs failed; "
+                                       f"first run_001: {singular}\n")
+    with open(out / "sweep_status.csv", newline="") as fh:
+        assert list(csv.reader(fh)) == [["index", "status", "message"], ["0", "ok", ""],
+                                         ["1", "failed", singular], ["2", "ok", ""]]
+    with open(out / "sweep_report.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == REPORT_COLUMNS
+    assert [row[0] for row in rows[1:]] == ["Q1", "P1"]
+    for index in (0, 2):
+        with open(out / f"run_{index:03d}" / "report.csv", newline="") as fh:
+            assert list(csv.reader(fh))[1] == rows[1 + index // 2]
 
 
 class _RecordingPool:

@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -491,8 +492,9 @@ def test_every_factorization_runs_in_natural_order(family, tri):
 ], ids=["q1-8x6", "p1-8x6", "p2-8x6", "p2-24x15", "bridge-p1-refine1", "bevel-q1",
         "q1-160x100"])
 def test_node_order_fills_like_dof_minimum_degree(flags):
-    # ordering nodes instead of dofs costs at most 10 % more fill; on the
-    # bevel q1 it is 6.4 % more, on q1 160x100 19 % less
+    # ordering nodes instead of dofs costs at most 10 % more fill; with the
+    # nested dissection on mesh lines it is 1.6 % less on the bevel q1 and
+    # 26 % less on q1 160x100
     mesh, case, material, _ = prepare(resolve_config(flags))
     x = np.ones(mesh.n_elements)
     factors = []
@@ -657,3 +659,136 @@ def test_reduced_pattern_under_arbitrary_supports(family, tri, nx, ny, refine, p
         assert K.nnz == 4 * len(_free_node_pairs(mesh.conn, free[0::2] // 2))
         oracle = dense_assembly_oracle(mesh, MAT, x, 3.0)[np.ix_(asm.free, asm.free)]
         np.testing.assert_allclose(K.toarray(), oracle, rtol=1e-12, atol=1e-12)
+
+
+def node_minimum_degree_order(mesh, fixed):
+    """Free nodes in the minimum degree order of their graph, as spilu finds it."""
+    nodes = np.setdiff1d(np.arange(mesh.n_nodes), fixed)
+    index = np.full(mesh.n_nodes, -1)
+    index[nodes] = np.arange(len(nodes))
+    rows, cols = np.array([(index[i], index[j]) for row in mesh.conn for i in row
+                           for j in row if index[i] >= 0 and index[j] >= 0]).T
+    graph = sp.csc_matrix((np.where(rows == cols, len(nodes), -1.0), (rows, cols)),
+                          shape=(len(nodes), len(nodes)))
+    perm = spla.spilu(graph, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                      drop_tol=1.0, fill_factor=1.0).perm_c
+    return nodes[np.argsort(perm)]
+
+
+def separator_lines(mesh, axis):
+    """Node coordinates on one axis that no element spans strictly."""
+    coord = mesh.nodes[:, axis]
+    low, high = coord[mesh.conn].min(axis=1), coord[mesh.conn].max(axis=1)
+    return [m for m in np.unique(coord) if not np.any((low < m) & (m < high))]
+
+
+def nested_dissection_oracle(mesh, mmd_nodes):
+    """Recursive nested dissection of nodes (given in MMD order) on separator lines.
+
+    A box splits at its middle interior line (the lower of two) on the axis
+    with more of them, x on a tie. Returns the order (each half, then the
+    nodes on the cut, every group in MMD order), the leaf blocks and, per
+    cut, its nodes and the nodes of both halves below it.
+    """
+    lines = [separator_lines(mesh, 0), separator_lines(mesh, 1)]
+    leaves, cuts = [], []
+
+    def split(nodes, box):
+        inner = [[m for m in lines[a] if box[a][0] < m < box[a][1]] for a in range(2)]
+        if not inner[0] and not inner[1]:
+            leaves.append(nodes)
+            return nodes
+        a = int(len(inner[1]) > len(inner[0]))
+        cut = inner[a][(len(inner[a]) - 1) // 2]
+        coord = mesh.nodes[nodes, a]
+        low, high = list(box), list(box)
+        low[a], high[a] = (box[a][0], cut), (cut, box[a][1])
+        below = np.concatenate([split(nodes[coord < cut], low),
+                                split(nodes[coord > cut], high)])
+        cuts.append((nodes[coord == cut], below))
+        return np.concatenate([below, nodes[coord == cut]])
+
+    order = split(mmd_nodes, [(lines[0][0], lines[0][-1]), (lines[1][0], lines[1][-1])])
+    return order, leaves, cuts
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(["q1", "p1", "p2"]),
+       tri=st.sampled_from(["two_split", "cross_split"]),
+       width=st.floats(0.5, 8.0), height=st.floats(0.5, 8.0),
+       nx=st.integers(1, 7), ny=st.integers(1, 7), refine=st.integers(0, 1),
+       supports=st.sampled_from(["west", "bottom", "corners"]))
+def test_dissection_blocks_are_separated(family, tri, width, height, nx, ny, refine,
+                                         supports):
+    # the free nodes are ordered by nested dissection on the lines that no
+    # element crosses, with the MMD rank inside every block: no pattern
+    # entry joins two leaf blocks, and each cut follows both of its halves
+    mesh = generate_mesh(DomainSpec(width, height, nx, ny, triangulation=tri,
+                                    refine_level=refine), family)
+    fixed = _support_nodes(mesh, supports)
+    asm = StiffnessAssembler(mesh, MAT, LoadCase(fixed_nodes=fixed))
+    order, leaves, cuts = nested_dissection_oracle(
+        mesh, node_minimum_degree_order(mesh, fixed))
+    nodes = asm.free[0::2] // 2
+    np.testing.assert_array_equal(nodes, order)
+
+    block = np.full(mesh.n_nodes, -1)
+    for index, leaf in enumerate(leaves):
+        block[leaf] = index
+    K = asm.reduced_matrix(np.ones(mesh.n_elements), 1.0).tocoo()
+    ends = block[asm.free[K.row] // 2], block[asm.free[K.col] // 2]
+    inside = (ends[0] >= 0) & (ends[1] >= 0)
+    np.testing.assert_array_equal(ends[0][inside], ends[1][inside])
+
+    place = np.empty(mesh.n_nodes, dtype=int)
+    place[nodes] = np.arange(len(nodes))
+    for cut, below in cuts:
+        if len(cut) and len(below):
+            assert place[cut].min() > place[below].max()
+
+
+@pytest.mark.parametrize("family,tri,refine", [
+    ("q1", "two_split", 0), ("p1", "two_split", 0), ("p1", "cross_split", 0),
+    ("p2", "two_split", 0), ("p2", "cross_split", 0), ("p1", "cross_split", 1),
+    ("p2", "cross_split", 1)])
+def test_mesh_without_interior_line_keeps_minimum_degree_order(family, tri, refine):
+    # one base cell with no interior line that no element crosses is one
+    # block: the order is the node MMD order bit for bit, and it solves as
+    # a dof-level minimum-degree factor does
+    mesh = generate_mesh(DomainSpec(1.0, 1.0, 1, 1, triangulation=tri,
+                                    refine_level=refine), family)
+    assert [separator_lines(mesh, axis) for axis in (0, 1)] == [[0.0, 1.0], [0.0, 1.0]]
+    case = cantilever_case(mesh)
+    asm = StiffnessAssembler(mesh, MAT, case)
+    mmd = node_minimum_degree_order(mesh, case.fixed_nodes)
+    np.testing.assert_array_equal(asm.free, (2 * mmd[:, None] + [0, 1]).ravel())
+    x = np.random.default_rng(11).uniform(0.05, 1.0, mesh.n_elements)
+    reference, _ = dof_minimum_degree_solve(mesh, x, 3.0, case)
+    result = asm.solve(x, 3.0)
+    assert np.abs(result.U - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+def test_dissection_cuts_the_bridge_fill():
+    # the bridge's base-grid lines separate it: nested dissection on them
+    # fills 0.77x the node MMD order and 0.75x a dof-level MMD factor
+    mesh, case, material, _ = prepare(resolve_config(
+        {"problem": "bridge", "elem": "p1", "refine": 1}))
+    x = np.ones(mesh.n_elements)
+    factors = []
+    with mock.patch.object(spla, "splu", recorded_splu(factors)):
+        StiffnessAssembler(mesh, material, case).solve(x, 1.0)
+    _, dof_fill = dof_minimum_degree_solve(mesh, x, 1.0, case)
+    assert factors[0][1] <= 0.85 * dof_fill
+
+
+def test_reduced_pattern_past_int32_node_pair_keys():
+    # 46,872 free nodes: a node pair's sort key, place * n_free + place,
+    # passes 2**31, so the places must not be int32 as spilu's perm_c is
+    mesh = generate_mesh(DomainSpec(1.0, 1.0, 216, 216), "q1")
+    case = LoadCase(fixed_nodes=np.flatnonzero(np.isclose(mesh.nodes[:, 0], 0.0)))
+    asm = StiffnessAssembler(mesh, MAT, case)
+    x = np.ones(mesh.n_elements)
+    K = asm.reduced_matrix(x, 1.0)
+    assert len(asm.free) // 2 > 46341
+    reference = assemble(mesh, x, 1.0, MAT, case).K[asm.free][:, asm.free]
+    assert abs(K - reference).max() <= 1e-12 * abs(reference).max()

@@ -43,9 +43,28 @@ EXPORT = "src/topo2d/export.py"
 MUTANTS = [
     # free-node order and NATURAL factorization
     Mutant("node order skipped", SOLVER,
-           "        nodes = nodes[np.argsort(perm)]\n",
-           "        perm = np.arange(n_free)\n        nodes = nodes[np.argsort(perm)]\n",
-           ("tests/test_solver.py::test_node_order_fills_like_dof_minimum_degree",)),
+           "fill_factor=1.0).perm_c\n",
+           "fill_factor=1.0).perm_c\n        perm = np.arange(n_free)\n",
+           ("tests/test_solver.py::test_mesh_without_interior_line_keeps_minimum_degree_order",)),
+    Mutant("separators ordered before their halves", SOLVER,
+           "np.where(pos == cut, np.int8(2), pos > cut)",
+           "np.where(pos == cut, np.int8(-1), pos > cut)",
+           ("tests/test_solver.py::test_dissection_blocks_are_separated",)),
+    Mutant("line crossing test made inclusive", SOLVER,
+           "np.bincount(span.min(1) + 1, minlength=n + 1)\n"
+           "                                - np.bincount(span.max(1), minlength=n + 1)",
+           "np.bincount(span.min(1), minlength=n + 1)\n"
+           "                                - np.bincount(span.max(1) + 1, minlength=n + 1)",
+           ("tests/test_solver.py::test_dissection_cuts_the_bridge_fill",)),
+    Mutant("blocks ordered naturally, not by MMD rank", SOLVER,
+           "np.lexsort([perm, *digits[::-1]])", "np.lexsort([np.arange(n_free), *digits[::-1]])",
+           ("tests/test_solver.py::test_dissection_blocks_are_separated",)),
+    Mutant("node places kept in int32", SOLVER,
+           "perm = np.empty_like(order)", "perm = np.empty_like(order, dtype=np.int32)",
+           ("tests/test_solver.py::test_reduced_pattern_past_int32_node_pair_keys",)),
+    Mutant("boxes cut at their first interior line", SOLVER,
+           "cut = low + 2 * ((high - low) // 4)", "cut = low + 2",
+           ("tests/test_solver.py::test_dissection_blocks_are_separated",)),
     Mutant("node pairs not renumbered", SOLVER,
            "np.unique(perm[cols] * n_free + perm[rows]", "np.unique(cols * n_free + rows",
            ("tests/test_solver.py::test_assembler_reduced_solve_matches_oracle",)),
@@ -196,8 +215,11 @@ MUTANTS = [
            ("tests/test_estimator.py::test_two_triangle_jump_hand_computed",)),
     # sweep output
     Mutant("stale combined sweep report kept", CLI,
-           "        os.remove(combined)", "        pass",
+           'open(os.path.join(base_out, name), "w"', 'open(os.path.join(base_out, name), "a"',
            ("tests/test_bench_cli.py::test_sweep_runs_and_combined_report",)),
+    Mutant("failed sweep line recorded as ok", CLI,
+           '"failed" if report is None else "ok"', '"ok"',
+           ("tests/test_bench_cli.py::test_sweep_runs_every_line_then_reports_a_failure",)),
 ]
 
 
