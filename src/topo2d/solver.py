@@ -12,13 +12,14 @@ order together with the slot of every element-matrix entry in it. Each assembly
 is one weighted bincount into that pattern, and SuperLU factors every
 reduced matrix in NATURAL order. The pattern comes from numbered 2x2 node
 blocks that scipy lays out in CSC order; entries on a pinned node share one
-sentinel slot. asm.free, and the free_dofs of apply_dirichlet, stay in node
-pairs (x then y). The full K is built only when GlobalSystem.K is read;
-prescribed values u_c lift into the right-hand side as K u_c. Loads are
-built node by component, (n_nodes, 2), and flattened to dof order.
-StiffnessAssembler.solve and solve() share one sequence. Every solve is
-checked once against its own relative residual; a zero right-hand side is
-checked by solving a fixed probe instead.
+sentinel slot. asm.free stays in node pairs (x then y). The full K is built
+only when GlobalSystem.K is read. apply_dirichlet returns u_c, the
+prescribed values on the constrained dofs and zero elsewhere; they lift into
+the right-hand side as K u_c, and solve() writes the reduced solution into
+u_c at asm.free to form U. Loads are built node by component, (n_nodes, 2),
+and flattened to dof order. StiffnessAssembler.solve and solve() share one
+sequence. Every solve is checked once against its own relative residual; a
+zero right-hand side is checked by solving a fixed probe instead.
 """
 
 import functools
@@ -309,27 +310,22 @@ def assemble(mesh: meshmod.Mesh, densities, penal: float,
 def apply_dirichlet(system: GlobalSystem, prescribed: np.ndarray | None = None):
     """Reduce the system to free dofs by elimination.
 
-    prescribed, when given, holds 2 * n_nodes finite values; those at the
-    constrained dofs lift into the right-hand side as F - K u_c, with u_c
-    zero off the constrained dofs, kept on the free dofs. Returns (K_ff,
-    rhs, free_dofs), in the assembler's elimination order asm.free.
+    prescribed, when given, holds 2 * n_nodes finite values. u_c holds them
+    at the constrained dofs and zero elsewhere; they lift into the
+    right-hand side as F - K u_c, kept on the free dofs. Returns (K_ff,
+    rhs, u_c), K_ff and rhs in the assembler's elimination order asm.free.
     """
     asm = system.assembler
     rhs = np.asarray(system.F, dtype=float)
+    u_c = np.zeros(asm.ndof)
     if prescribed is not None:
         prescribed = np.asarray(prescribed, dtype=float)
         if prescribed.shape != (asm.ndof,) or not np.all(np.isfinite(prescribed)):
             raise ValueError(f"prescribed must hold {asm.ndof} finite values (2 per node), "
                              f"got shape {prescribed.shape}")
-        u_c = np.zeros(asm.ndof)
         u_c[asm.constrained] = prescribed[asm.constrained]
         rhs = rhs - system.K @ u_c
-    return asm.reduced_matrix(system.x, system.penal), rhs[asm.free], asm.free
-
-
-def _relative_residual(K: sp.csc_matrix, u: np.ndarray, b: np.ndarray) -> float:
-    norm_b = np.linalg.norm(b)
-    return float(np.linalg.norm(K @ u - b) / (norm_b if norm_b > 0.0 else 1.0))
+    return asm.reduced_matrix(system.x, system.penal), rhs[asm.free], u_c
 
 
 def _solve_reduced(K_ff: sp.csc_matrix, rhs: np.ndarray):
@@ -350,14 +346,14 @@ def _solve_reduced(K_ff: sp.csc_matrix, rhs: np.ndarray):
     except RuntimeError as exc:
         raise SingularSystemError(f"direct factorization failed: {exc}") from exc
     # a zero rhs would mask a (numerically) singular factorization, so
-    # probe the factor with a fixed right-hand side in that case
+    # probe the factor with a fixed right-hand side in that case; either
+    # probe has a nonzero entry, so its norm divides the residual
     zero_rhs = not np.any(rhs)
     probe = np.sin(np.arange(1, len(rhs) + 1, dtype=float)) if zero_rhs else rhs
     u = lu.solve(probe)
-    resid = _relative_residual(K_ff, u, probe)
+    resid = float(np.linalg.norm(K_ff @ u - probe) / np.linalg.norm(probe))
     if not np.all(np.isfinite(u)) or not resid <= RESIDUAL_TOL:
-        pivots = np.abs(lu.U.diagonal())
-        smallest = float(pivots.min()) if len(pivots) else 0.0
+        smallest = float(np.abs(lu.U.diagonal()).min())
         raise SingularSystemError(
             "reduced system is singular or ill-conditioned "
             f"(smallest pivot {smallest:.3e}, probe residual {resid:.3e})"
@@ -372,11 +368,6 @@ def solve(system: GlobalSystem, prescribed: np.ndarray | None = None) -> SolveRe
     inputs). Raises SingularSystemError when the reduced system is singular
     or the residual check fails.
     """
-    asm = system.assembler
-    K_ff, rhs, free = apply_dirichlet(system, prescribed)
-    u_f, residual_norm = _solve_reduced(K_ff, rhs)
-    U = np.zeros(asm.ndof)
-    U[free] = u_f
-    if prescribed is not None:
-        U[asm.constrained] = np.asarray(prescribed, dtype=float)[asm.constrained]
+    K_ff, rhs, U = apply_dirichlet(system, prescribed)
+    U[system.assembler.free], residual_norm = _solve_reduced(K_ff, rhs)
     return SolveResult(U=U, residual_norm=residual_norm, compliance=float(system.F @ U))

@@ -9,7 +9,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from topo2d import export
@@ -756,6 +756,60 @@ def test_bad_option_values_exit_two(tmp_path_factory, problem, elem, bad):
     assert message.count("\n") == 1 and message.startswith("error: "), message
     assert "Traceback" not in message
     assert not out.exists()
+
+
+@st.composite
+def _cli_flags(draw):
+    """Flags for main: meshes of at most 3x3 cells, one or two iterations, and
+    up to two SIMP values that are 0, negative, NaN, infinite or out of range."""
+    simp = {"volfrac": (st.floats(0.05, 1.0), ["1.5"]),
+            "penal": (st.floats(1.0, 5.0), ["0.5"]),
+            "rmin": (st.floats(0.5, 3.0), []),
+            "move": (st.floats(0.05, 1.0), []),
+            "conv_tol": (st.floats(0.0, 0.1), ["-0.01"])}
+    spoiled = draw(st.sets(st.sampled_from(sorted(simp)), max_size=2))
+    flags = {name: draw(st.sampled_from(["0", "-1", "nan", "inf", "-inf"] + extra)
+                        if name in spoiled else valid.map(repr))
+             for name, (valid, extra) in simp.items()}
+    flags.update(problem=draw(st.sampled_from(sorted(PRESETS))),
+                 elem=draw(st.sampled_from(["q1", "p1", "p2"])),
+                 triangulation=draw(st.sampled_from(["two", "cross"])),
+                 nx=draw(st.integers(1, 3)), ny=draw(st.integers(1, 3)),
+                 max_iters=draw(st.integers(1, 2)))
+    return flags, draw(st.booleans())
+
+
+@settings(max_examples=30, deadline=None)
+@given(flags_and_estimate=_cli_flags())
+def test_cli_contract_on_random_configs(tmp_path_factory, flags_and_estimate):
+    # every run exits 0, 1 or 2; a failure prints one stderr line and no
+    # traceback, and a success writes finite reports
+    flags, estimate_error = flags_and_estimate
+    out = tmp_path_factory.mktemp("cli_contract") / "out"
+    argv = [f"--{name.replace('_', '-')}={value}" for name, value in flags.items()]
+    argv += ["--quiet", "--out", str(out)] + (["--estimate-error"] if estimate_error else [])
+    err = io.StringIO()
+    with redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    event(f"exit {code}")
+    assert code in (0, 1, 2)
+    message = err.getvalue()
+    if code != 0:
+        assert message.count("\n") == 1, message
+        assert message.startswith(("error: ", "solver failure: ")), message
+        assert "Traceback" not in message
+        return
+    with open(out / "report.csv", newline="") as fh:
+        (row,) = list(csv.DictReader(fh))
+    numbers = [value for key, value in row.items() if key != "element_type" and value]
+    with open(out / "history.csv", newline="") as fh:
+        history = list(csv.DictReader(fh))
+    assert 1 <= len(history) <= flags["max_iters"]
+    numbers += [value for line in history for value in line.values()]
+    assert np.all(np.isfinite(np.array(numbers, dtype=float)))
 
 
 def test_out_of_memory_exits_two(tmp_path, monkeypatch, capsys):

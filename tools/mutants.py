@@ -89,6 +89,10 @@ MUTANTS = [
     Mutant("Dirichlet lift added, not subtracted", SOLVER,
            "        rhs = rhs - system.K @ u_c", "        rhs = rhs + system.K @ u_c",
            ("tests/test_solver.py::test_linear_patch",)),
+    Mutant("prescribed values left out of U", SOLVER,
+           "    K_ff, rhs, U = apply_dirichlet(system, prescribed)\n",
+           "    K_ff, rhs, U = apply_dirichlet(system, prescribed)\n    U[:] = 0.0\n",
+           ("tests/test_solver.py::test_linear_patch",)),
     Mutant("body-force components swapped", SOLVER,
            "contrib[:, :, None] * body)", "contrib[:, :, None] * body[::-1])",
            ("tests/test_solver.py::test_body_force_load_vector",)),
@@ -107,6 +111,11 @@ MUTANTS = [
     Mutant("dof table interleave reversed", SOLVER,
            "(2 * conn[:, :, None] + np.arange(2))", "(2 * conn[:, :, None] + np.arange(2)[::-1])",
            ("tests/test_solver.py::test_element_dof_matrix_interleaving",)),
+    # the solve check
+    Mutant("zero-load probe replaced by rhs", SOLVER,
+           "    probe = np.sin(np.arange(1, len(rhs) + 1, dtype=float)) if zero_rhs else rhs\n",
+           "    probe = rhs\n",
+           ("tests/test_solver.py::test_every_factorization_runs_in_natural_order",)),
     # element stiffness as matrix products, and element geometry checks
     Mutant("NaN determinant passes the K0 check", FEM,
            "    bad = ~(det > 0.0)", "    bad = det <= 0.0",
@@ -213,6 +222,10 @@ MUTANTS = [
     Mutant("boundary edges kept in the jump term", ESTIMATOR,
            "    jump = np.where(interior, edges, 0.0)", "    jump = edges",
            ("tests/test_estimator.py::test_two_triangle_jump_hand_computed",)),
+    # the CLI contract: exit 0, 1 or 2, and one stderr line on failure
+    Mutant("ValueError escapes main", CLI,
+           "    except (ValueError, OSError) as exc:", "    except OSError as exc:",
+           ("tests/test_bench_cli.py::test_cli_contract_on_random_configs",)),
     # sweep output
     Mutant("stale combined sweep report kept", CLI,
            'open(os.path.join(base_out, name), "w"', 'open(os.path.join(base_out, name), "a"',
