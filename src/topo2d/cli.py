@@ -194,6 +194,8 @@ def prepare(cfg: RunConfig):
     simp = SimpConfig(**{f.name: getattr(cfg, f.name)
                          for f in fields(SimpConfig) if f.name in _FIELDS})
     simp.validate()
+    if not 0.0 < cfg.bevel_ratio <= 1.0:
+        raise ValueError(f"--bevel-ratio must lie in (0, 1] (got {cfg.bevel_ratio:g})")
     if cfg.elem == "q1":
         nx, ny = cfg.nx, cfg.ny
     else:
@@ -209,9 +211,6 @@ def prepare(cfg: RunConfig):
         refine_level=cfg.refine,
         bevel_ratio=cfg.bevel_ratio,
     )
-    spec.validate()
-    if not 0.0 < cfg.bevel_ratio <= 1.0:
-        raise ValueError(f"--bevel-ratio must lie in (0, 1] (got {cfg.bevel_ratio:g})")
     mesh = generate_mesh(spec, cfg.elem)
     case = build_load_case(cfg.problem, mesh)
     mesh = classify_boundary(mesh, case)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import fem, mesh as meshmod
 from .export import write_columns
-from .solver import LoadCase
+from .solver import LoadCase, edge_tractions
 
 _NO_SUPPORTS = np.empty(0, dtype=np.int64)
 
@@ -98,8 +98,7 @@ def _edge_residuals(mesh: meshmod.Mesh, sigma: np.ndarray, traction) -> np.ndarr
     r = np.stack([s[..., 0] * nx + s[..., 2] * ny, s[..., 2] * nx + s[..., 1] * ny], axis=2)
     if traction is not None:
         pts = meshmod.edge_points(mesh, edges[~inside], t)
-        g = [traction(p, n) for p, n in zip(pts, normal[~inside])]
-        r[~inside] -= np.array(g, dtype=float).reshape(-1, len(t), 2)
+        r[~inside] -= edge_tractions(traction, pts, normal[~inside])
     values = np.zeros(mesh.n_edges)
     values[edges] = mesh.edge_length[edges] ** 2 * (np.einsum("eqc,eqc->eq", r, r) @ w)
     return values

@@ -305,9 +305,9 @@ def element_stiffness_batch(
     product of W = adj(J) / sqrt(det J) with itself against two constant
     tensors, ``_elasticity_gradient_tensor`` C and ``_reference_tensor`` R.
     The batch runs as three matrix products over all elements and points at
-    once, with the elements on the last axis: (2Q, k) @ (k, 2E) for the
-    Jacobians, (4, 4) @ (4, 4QE) for C against W (x) W, and
-    (4k^2, 16Q) @ (16Q, E) against R. One copy then lays the matrices out as
+    once: (2Q, k) @ (k, 2E) for the Jacobians and (4, 4) @ (4, 4QE) for C
+    against W (x) W, with the elements on the last axis, then
+    (E, 16Q) @ (16Q, 4k^2) against R, whose rows are already the matrices
     (E, 2k, 2k) in dof order (u1x, u1y, u2x, ...).
 
     Raises ValueError if coords is not (E, k, 2) for the family's k nodes,
@@ -342,15 +342,8 @@ def element_stiffness_batch(
     outer = adj[:, None, :, :, None] * adj[None, :, :, None, :]
     weighted = _elasticity_gradient_tensor(material).T @ outer.reshape(4, -1)
     del outer
-    kmat_t = _reference_tensor(family, rule).T @ weighted.reshape(16 * n_q, n_el)
-    del weighted
-    # One transposing copy puts the elements first. Writing the product
-    # (E, 16Q) @ (16Q, 4k^2) straight into the output would skip it, but then
-    # no K0-sized block is freed here: glibc's malloc raises its mmap threshold
-    # only to the largest block freed so far, and the K0-sized array that every
-    # SIMP iteration builds (StiffnessAssembler.scaled_data) got fresh pages
-    # each time, 980 minor faults and +1.3 ms per opt-p1-bridge iteration.
-    return np.ascontiguousarray(kmat_t.T).reshape(n_el, 2 * k, 2 * k)
+    return (weighted.reshape(16 * n_q, n_el).T
+            @ _reference_tensor(family, rule)).reshape(n_el, 2 * k, 2 * k)
 
 
 def element_stiffness(

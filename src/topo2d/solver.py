@@ -99,6 +99,19 @@ def constrained_dof_ids(case: LoadCase) -> np.ndarray:
     return np.sort(np.concatenate([2 * fixed, 2 * fixed + 1]))
 
 
+def edge_tractions(traction, points: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """The traction g on each edge, (m, q, 2) for points (m, q, 2), normals (m, 2).
+
+    The callable sees one edge at a time: points (q, 2), normal (2,). A NaN
+    or infinite value raises ValueError.
+    """
+    g = np.array([traction(p, n) for p, n in zip(points, normals)], dtype=float)
+    g = g.reshape(points.shape)
+    if not np.all(np.isfinite(g)):
+        raise ValueError("traction must be finite on every Neumann edge")
+    return g
+
+
 def build_load_vector(mesh: meshmod.Mesh, case: LoadCase) -> np.ndarray:
     """Point loads plus consistent body-force and traction contributions.
     A load on a node outside the mesh, or a NaN or infinite load, raises ValueError."""
@@ -127,10 +140,7 @@ def build_load_vector(mesh: meshmod.Mesh, case: LoadCase) -> np.ndarray:
         t, w = fem.edge_quadrature_3pt()
         pts = meshmod.edge_points(mesh, edges, t)
         ref, normals = meshmod.edge_trace(mesh, edges, t)
-        # the traction callable sees one edge at a time: points (q, 2), normal (2,)
-        g = np.array([case.traction(p, n) for p, n in zip(pts, normals)], dtype=float)
-        if not np.all(np.isfinite(g)):
-            raise ValueError("traction must be finite on every Neumann edge")
+        g = edge_tractions(case.traction, pts, normals)
         conn = mesh.conn[mesh.edge_elems[edges, 0]]
         values, _ = fem.shape_functions_at(mesh.family, ref.reshape(-1, 2))
         values = values.reshape(len(edges), len(t), -1)
@@ -169,6 +179,10 @@ class StiffnessAssembler:
         self.case = case
         coords = mesh.nodes[mesh.conn]
         self.k0 = fem.element_stiffness_batch(mesh.family, coords, material)
+        # freeing an untouched K0-sized block raises glibc's mmap threshold to
+        # its size, so the K0-sized array of every scaled_data call comes from
+        # the heap rather than from fresh pages
+        np.empty(self.k0.size)
         self.edofs = element_dof_matrix(mesh.conn)
         self.ndof = 2 * mesh.n_nodes
 

@@ -653,7 +653,7 @@ def test_sweep_checks_every_line_before_running(tmp_path, capsys):
     cases = [("cantilever", "volfrac=0.0001",
               "error: volfrac 0.0001 is below the density floor x_min 0.001\n"),
              ("bevel", "bevel-ratio=2",
-              "error: right_height must lie in (0, height]\n")]
+              "error: --bevel-ratio must lie in (0, 1] (got 2)\n")]
     for problem, bad, message in cases:
         sweep = tmp_path / f"{problem}_lines.txt"
         sweep.write_text(f"nx=6 ny=4 max-iters=1\nnx=6 ny=4 max-iters=1 {bad}\n")

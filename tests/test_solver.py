@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topo2d.cli import prepare, resolve_config
+from topo2d.estimator import estimate
 from topo2d.fem import Material, elasticity_matrix, element_stiffness
 from topo2d.mesh import DomainSpec, classify_boundary, generate_mesh
 from topo2d.optimizer import DensityField
@@ -304,6 +305,9 @@ def test_non_finite_loads_rejected(bad):
             build_load_vector(mesh, case)
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             StiffnessAssembler(mesh, MAT, case).solve(np.ones(mesh.n_elements), 3.0)
+    # the estimator evaluates the traction on the same edges and refuses it alike
+    with pytest.raises(ValueError, match="^traction must be finite"):
+        estimate(mesh, np.zeros(2 * mesh.n_nodes), MAT, cases["traction"])
 
 
 def test_point_loads_add_at_their_node_dofs():
@@ -340,6 +344,16 @@ def test_free_node_outside_every_element_is_singular():
         StiffnessAssembler(mesh, MAT, case).solve(x, 3.0)
     with pytest.raises(SingularSystemError, match=f"free node {n + 1} belongs to no element"):
         solve(assemble(mesh, x, 3.0, MAT, case))
+
+
+def test_factorization_failure_is_singular_system_error():
+    # 0.4 ** 1e6 underflows to 0, so K_ff is all zeros and SuperLU's own
+    # RuntimeError must reach the caller as a SingularSystemError
+    mesh, case, material, _ = prepare(resolve_config(
+        {"problem": "cantilever", "elem": "q1", "nx": 6, "ny": 4}))
+    with pytest.raises(SingularSystemError,
+                       match="^direct factorization failed: Factor is exactly singular"):
+        StiffnessAssembler(mesh, material, case).solve(np.full(mesh.n_elements, 0.4), 1e6)
 
 
 def test_refinement_softens_structure():

@@ -103,7 +103,7 @@ MUTANTS = [
            "    if not np.all(np.isfinite(body)):", "    if False:",
            ("tests/test_solver.py::test_non_finite_loads_rejected",)),
     Mutant("non-finite traction accepted", SOLVER,
-           "        if not np.all(np.isfinite(g)):", "        if False:",
+           "    if not np.all(np.isfinite(g)):", "    if False:",
            ("tests/test_solver.py::test_non_finite_loads_rejected",)),
     Mutant("point-load components swapped", SOLVER,
            "        F[node] += (fx, fy)", "        F[node] += (fy, fx)",
@@ -116,6 +116,10 @@ MUTANTS = [
            "    probe = np.sin(np.arange(1, len(rhs) + 1, dtype=float)) if zero_rhs else rhs\n",
            "    probe = rhs\n",
            ("tests/test_solver.py::test_every_factorization_runs_in_natural_order",)),
+    Mutant("factorization failure escapes as RuntimeError", SOLVER,
+           "    except RuntimeError as exc:", "    except ValueError as exc:",
+           ("tests/test_solver.py::test_factorization_failure_is_singular_system_error",
+            "tests/test_bench_cli.py::test_sweep_runs_every_line_then_reports_a_failure")),
     # element stiffness as matrix products, and element geometry checks
     Mutant("NaN determinant passes the K0 check", FEM,
            "    bad = ~(det > 0.0)", "    bad = det <= 0.0",
@@ -214,7 +218,7 @@ MUTANTS = [
            "    ends[inside] -= sigma[e1[:, None], v1]\n", "",
            ("tests/test_estimator.py::test_linear_field_has_no_jumps",)),
     Mutant("traction added, not subtracted", ESTIMATOR,
-           "        r[~inside] -= np.array(g", "        r[~inside] += np.array(g",
+           "        r[~inside] -= edge_tractions(", "        r[~inside] += edge_tractions(",
            ("tests/test_estimator.py::test_uniform_tension_matching_traction",)),
     Mutant("edge interpolation anchored at the far end", ESTIMATOR,
            "    s = ends[:, :1] + t[None, :, None]", "    s = ends[:, 1:] + t[None, :, None]",
@@ -226,6 +230,9 @@ MUTANTS = [
     Mutant("ValueError escapes main", CLI,
            "    except (ValueError, OSError) as exc:", "    except OSError as exc:",
            ("tests/test_bench_cli.py::test_cli_contract_on_random_configs",)),
+    Mutant("bevel ratio left to the domain check", CLI,
+           "    if not 0.0 < cfg.bevel_ratio <= 1.0:", "    if False:",
+           ("tests/test_bench_cli.py::test_sweep_checks_every_line_before_running",)),
     # sweep output
     Mutant("stale combined sweep report kept", CLI,
            'open(os.path.join(base_out, name), "w"', 'open(os.path.join(base_out, name), "a"',
