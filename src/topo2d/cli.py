@@ -114,6 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="key=value file supplying defaults for flags")
     parser.add_argument("--sweep", help="file with one key=value run per line")
     parser.add_argument("--jobs", type=int, help="parallel workers for --sweep")
+
+    def refuse(message):  # main prints every argument error as one error: line
+        raise ValueError(message)
+    parser.error = refuse
     return parser
 
 
@@ -164,13 +168,12 @@ def _coerce(key: str, value):
 
 
 def resolve_config(flags: dict, file_values: dict | None = None) -> RunConfig:
-    """Merge flags over config-file entries over preset defaults."""
-    merged = {}
-    for key, value in (file_values or {}).items():
-        merged[key] = _coerce(key, value)
-    for key, value in flags.items():
-        if value is not None and key in _FIELDS:
-            merged[key] = _coerce(key, value)
+    """Merge flags over config-file entries over preset defaults.
+
+    Every key must name a field; a file value is checked even if a flag overrides it.
+    """
+    merged = {key: _coerce(key, value) for key, value in (file_values or {}).items()}
+    merged.update((key, _coerce(key, value)) for key, value in flags.items() if value is not None)
 
     for name, f in _FIELDS.items():
         choices, minimum = f.metadata["choices"], f.metadata["minimum"]
@@ -196,17 +199,14 @@ def prepare(cfg: RunConfig):
     simp.validate()
     if not 0.0 < cfg.bevel_ratio <= 1.0:
         raise ValueError(f"--bevel-ratio must lie in (0, 1] (got {cfg.bevel_ratio:g})")
-    if cfg.elem == "q1":
-        nx, ny = cfg.nx, cfg.ny
-    else:
-        nx = cfg.grid if cfg.grid is not None else cfg.nx
-        ny = cfg.grid if cfg.grid is not None else cfg.ny
+    # q1 ignores --grid; the preset then grids one cell per unit of nx by ny
+    grid = None if cfg.elem == "q1" else cfg.grid
     spec = preset_domain_spec(
         cfg.problem,
         width=float(cfg.nx),
         height=float(cfg.ny),
-        nx=nx,
-        ny=ny,
+        nx=grid,
+        ny=grid,
         triangulation=_TRIANGULATION[cfg.triangulation],
         refine_level=cfg.refine,
         bevel_ratio=cfg.bevel_ratio,
@@ -364,15 +364,13 @@ def run_sweep(sweep_path, flags: dict, jobs: int, file_values: dict | None = Non
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    flags = vars(args)
-    config_path = flags.pop("config", None)
-    sweep_path = flags.pop("sweep", None)
-    jobs = flags.pop("jobs", None) or 0
-    if jobs < 0:
-        parser.exit(2, f"error: --jobs must be at least 0 (got {jobs})\n")
-
     try:
+        flags = vars(parser.parse_args(argv))
+        config_path = flags.pop("config")
+        sweep_path = flags.pop("sweep")
+        jobs = flags.pop("jobs") or 0
+        if jobs < 0:
+            raise ValueError(f"--jobs must be at least 0 (got {jobs})")
         file_values = parse_config_file(config_path) if config_path else None
         if sweep_path:
             run_sweep(sweep_path, flags, jobs, file_values)

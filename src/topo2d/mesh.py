@@ -69,8 +69,8 @@ class DomainSpec:
                 f"unknown triangulation {self.triangulation!r}, "
                 f"expected one of {TRIANGULATIONS}"
             )
-        if not (self.width > 0.0 and self.height > 0.0):
-            raise ValueError("domain dimensions must be positive")
+        if not (0.0 < self.width < np.inf and 0.0 < self.height < np.inf):
+            raise ValueError("domain dimensions must be positive and finite")
         if self.nx < 1 or self.ny < 1:
             raise ValueError("nx and ny must be at least 1")
         if self.refine_level < 0:

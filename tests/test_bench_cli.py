@@ -272,6 +272,11 @@ def test_prepare_element_counts():
     assert mesh.n_elements == 2304
     assert simp.volfrac == 0.4
 
+    # q1 ignores --grid and grids nx by ny
+    cfg = resolve_config({"problem": "cantilever", "elem": "q1", "grid": 8})
+    mesh, _, _, _ = prepare(cfg)
+    assert mesh.n_elements == 640
+
 
 def test_parse_config_file(tmp_path):
     path = tmp_path / "run.cfg"
@@ -308,6 +313,9 @@ def test_resolve_config_precedence():
         resolve_config({"problem": "cantilever", "elem": "q3"})
     with pytest.raises(ValueError):
         resolve_config({"problem": "cantilever"}, {"unknown_key": "1"})
+    # a flag key is checked as a file key is
+    with pytest.raises(ValueError, match="unknown option 'nxx'"):
+        resolve_config({"problem": "cantilever", "nxx": 5})
 
 
 def test_main_end_to_end(tmp_path):
@@ -412,6 +420,17 @@ def test_main_exit_codes(tmp_path, capsys):
     assert exc.value.code == 2
     assert capsys.readouterr().err == "error: --jobs must be at least 0 (got -1)\n"
     assert not (tmp_path / "negative_jobs").exists()
+
+    # argparse's own complaints leave through the same one-line exit
+    for args in (["--jobs", "abc"], ["--jobs"], ["--nx"], ["--bogus", "1"]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["--problem", "cantilever", "--sweep", str(sweep),
+                  "--out", str(tmp_path / "parse_error"), *args])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: "), err
+        assert not (tmp_path / "parse_error").exists()
 
     # a sweep sets each run's out and quiet itself, so a sweep line naming
     # either is refused before any run writes

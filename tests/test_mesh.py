@@ -353,6 +353,14 @@ def test_invalid_specs_rejected():
         generate_mesh(DomainSpec(1.0, 1.0, 2, 2), "q9")
 
 
+@pytest.mark.parametrize("size", [(np.inf, 1.0), (1.0, np.inf), (np.nan, 1.0), (-np.inf, 1.0)])
+@pytest.mark.filterwarnings("error")
+def test_non_finite_domain_size_rejected(size):
+    # checked before any node is placed: no numpy warning, no nan-area message
+    with pytest.raises(ValueError, match="domain dimensions must be positive and finite"):
+        generate_mesh(DomainSpec(*size, 2, 1), "q1")
+
+
 def test_write_vtk_roundtrip(tmp_path):
     mesh = generate_mesh(
         DomainSpec(2.0, 1.0, 2, 1, triangulation="cross_split"), "p1")

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from topo2d.cli import prepare, resolve_config
 from topo2d.fem import Material
 from topo2d.mesh import DomainSpec, classify_boundary, generate_mesh
 from topo2d.optimizer import (BisectionError, DensityField, SensitivityFilter,
                               SimpConfig, compliance_and_sensitivity,
                               element_strain_energies, oc_update, optimize,
                               sensitivity_filter, write_history_csv)
-from topo2d.solver import LoadCase, assemble, solve
+from topo2d.solver import LoadCase, StiffnessAssembler, assemble, solve
 
 MAT = Material()
 
@@ -348,6 +349,30 @@ def test_density_field_uniform_respects_passive():
     assert np.all(field.x[mesh.passive] == field.x_min)
     assert np.all(field.x[~mesh.passive] == 0.5)
     np.testing.assert_allclose(field.volume_fraction(), 0.5, rtol=1e-12)
+
+
+@pytest.mark.parametrize("flags", [
+    {"problem": "cantilever", "elem": "q1", "nx": 8, "ny": 5},
+    {"problem": "cantilever", "elem": "p1", "nx": 8, "ny": 5},
+    {"problem": "cantilever", "elem": "p2", "nx": 8, "ny": 5},
+    {"problem": "bridge", "elem": "p1", "nx": 10, "ny": 10, "refine": 1},
+])
+def test_uniform_first_solve_is_the_scaled_solid_solve(flags):
+    # with no passive cells the start is x = v everywhere, so
+    # K(x, p) = v^p K(1, 1) and v^p times the first solution is the solid one
+    mesh, case, material, simp = prepare(resolve_config(flags))
+    x0 = DensityField.uniform(mesh, simp.volfrac, simp.x_min).x
+    assert np.all(x0 == simp.volfrac)
+    first = StiffnessAssembler(mesh, material, case).solve(x0, simp.penal).U
+    solid = solve(assemble(mesh, np.ones(mesh.n_elements), 1.0, material, case)).U
+    error = np.abs(simp.volfrac ** simp.penal * first - solid).max()
+    assert error <= 1e-10 * np.abs(solid).max()
+
+
+def test_default_bevel_start_is_not_uniform():
+    mesh, _, _, simp = prepare(resolve_config({"problem": "bevel"}))
+    x0 = DensityField.uniform(mesh, simp.volfrac, simp.x_min).x
+    assert not np.all(x0 == simp.volfrac)
 
 
 def test_history_csv_roundtrip(tmp_path):

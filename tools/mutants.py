@@ -233,6 +233,20 @@ MUTANTS = [
     Mutant("bevel ratio left to the domain check", CLI,
            "    if not 0.0 < cfg.bevel_ratio <= 1.0:", "    if False:",
            ("tests/test_bench_cli.py::test_sweep_checks_every_line_before_running",)),
+    Mutant("flag keys skip the unknown-key check", CLI,
+           "for key, value in flags.items() if value is not None)",
+           "for key, value in flags.items() if value is not None and key in _FIELDS)",
+           ("tests/test_bench_cli.py::test_resolve_config_precedence",)),
+    Mutant("q1 gridded by --grid", CLI,
+           'grid = None if cfg.elem == "q1" else cfg.grid', "grid = cfg.grid",
+           ("tests/test_bench_cli.py::test_prepare_element_counts",)),
+    Mutant("argparse prints its own usage block", CLI,
+           "    parser.error = refuse\n", "",
+           ("tests/test_bench_cli.py::test_main_exit_codes",)),
+    Mutant("infinite domain size accepted", MESH,
+           "0.0 < self.width < np.inf and 0.0 < self.height < np.inf",
+           "self.width > 0.0 and self.height > 0.0",
+           ("tests/test_mesh.py::test_non_finite_domain_size_rejected",)),
     # sweep output
     Mutant("stale combined sweep report kept", CLI,
            'open(os.path.join(base_out, name), "w"', 'open(os.path.join(base_out, name), "a"',
