@@ -1,13 +1,14 @@
 """Command-line front end for the benchmark problems.
 
-Options resolve in precedence order: explicit flags > sweep line > config
-file > preset defaults. Config files are flat key=value text mirroring the
-flags; a sweep file holds one such assignment list per line. Its runs
-execute in one worker pool of min(lines, --jobs or half the cores) workers
-(--jobs at least 0), each into its own output directory. A line whose
-solve fails does not stop the others: every line runs, sweep_status.csv
-records each line's status, sweep_report.csv holds the rows of the lines
-that succeeded, and the sweep exits 1 if any line failed.
+Options resolve in layers: flags > sweep line > config file > preset
+defaults, and a bad value fails even under a higher layer. Config files
+hold key=value lines mirroring the flags; a sweep file holds one run per
+line. Its runs execute in one worker pool of min(lines, --jobs or half the
+cores) workers (--jobs at least 0), each into its own output directory. A
+line whose solve fails does not stop the others: every line runs,
+sweep_status.csv records each line's status, sweep_report.csv holds the
+rows of the lines that succeeded, and the sweep exits 1 if any line
+failed.
 """
 
 import argparse
@@ -167,13 +168,13 @@ def _coerce(key: str, value):
             f"option {key!r}: cannot parse {target.__name__} from {value!r}") from None
 
 
-def resolve_config(flags: dict, file_values: dict | None = None) -> RunConfig:
-    """Merge flags over config-file entries over preset defaults.
+def resolve_config(*layers: dict | None) -> RunConfig:
+    """Merge flags over [a sweep line over] config-file values over preset defaults.
 
-    Every key must name a field; a file value is checked even if a flag overrides it.
+    Every key must name a field; a value is checked even if a higher layer overrides it.
     """
-    merged = {key: _coerce(key, value) for key, value in (file_values or {}).items()}
-    merged.update((key, _coerce(key, value)) for key, value in flags.items() if value is not None)
+    merged = {key: _coerce(key, value) for layer in reversed(layers)
+              for key, value in (layer or {}).items() if value is not None}
 
     for name, f in _FIELDS.items():
         choices, minimum = f.metadata["choices"], f.metadata["minimum"]
@@ -197,6 +198,7 @@ def prepare(cfg: RunConfig):
     simp = SimpConfig(**{f.name: getattr(cfg, f.name)
                          for f in fields(SimpConfig) if f.name in _FIELDS})
     simp.validate()
+    export.check_report(os.path.join(cfg.out, "report.csv"))
     if not 0.0 < cfg.bevel_ratio <= 1.0:
         raise ValueError(f"--bevel-ratio must lie in (0, 1] (got {cfg.bevel_ratio:g})")
     # q1 ignores --grid; the preset then grids one cell per unit of nx by ny
@@ -317,23 +319,22 @@ def run_sweep(sweep_path, flags: dict, jobs: int, file_values: dict | None = Non
     naming the first failed line, if any line's solve failed.
     """
     configs = []
-    file_values = file_values or {}
-    base_out = flags.get("out") or file_values.get("out", RunConfig.out)
     for values in _assignment_lines(sweep_path, split=True):
         for key in ("out", "quiet"):
             if key in values:
                 raise ValueError(f"option {key!r} is set per run by --sweep; "
                                  "remove it from the sweep line")
-        cfg = resolve_config(flags, {**file_values, **values})
-        # every line, its mesh and load case too, is checked before the
-        # first run writes anything
-        prepare(cfg)
+        cfg = resolve_config(flags, values, file_values)
+        base_out = cfg.out
         cfg.out = os.path.join(base_out, f"run_{len(configs):03d}")
         cfg.quiet = True
+        # every line, with its mesh, load case and report, is checked before any run writes
+        prepare(cfg)
         configs.append(cfg)
 
     if not configs:
         raise ValueError(f"sweep file {sweep_path} contains no runs")
+    os.makedirs(base_out, exist_ok=True)  # refuses an empty out, as a single run does
     with Pool(min(len(configs), jobs or max(1, cpu_count() // 2))) as pool:
         outcomes = pool.map(_run_line, configs)
 

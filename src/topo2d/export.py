@@ -160,17 +160,22 @@ def report_row(family: str, n_elements: int, compliance: float, iterations: int,
     return row
 
 
+def check_report(path) -> bool:
+    """Whether a report exists at path; raises ValueError if its header is
+    not REPORT_COLUMNS, so a run can refuse it before doing any work."""
+    if not os.path.exists(path):
+        return False
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh), None)
+    if header != REPORT_COLUMNS:
+        raise ValueError(f"report schema mismatch in {path}: found {header}, "
+                         f"expected {REPORT_COLUMNS}")
+    return True
+
+
 def append_report(path, row: list[str]) -> None:
     """Append a summary row, writing the header once and checking it after."""
-    exists = os.path.exists(path)
-    if exists:
-        with open(path, newline="") as fh:
-            header = next(csv.reader(fh), None)
-        if header != REPORT_COLUMNS:
-            raise ValueError(
-                f"report schema mismatch in {path}: found {header}, "
-                f"expected {REPORT_COLUMNS}"
-            )
+    exists = check_report(path)
     with open(path, "a", newline="") as fh:
         writer = csv.writer(fh)
         if not exists:

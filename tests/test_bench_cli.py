@@ -317,6 +317,17 @@ def test_resolve_config_precedence():
     with pytest.raises(ValueError, match="unknown option 'nxx'"):
         resolve_config({"problem": "cantilever", "nxx": 5})
 
+    # flag > sweep line > file > preset, and a None flag masks nothing
+    cfg = resolve_config({"problem": "cantilever", "volfrac": 0.3, "rmin": None},
+                         {"volfrac": "0.35", "rmin": "1.5", "nx": "8"},
+                         {"volfrac": "0.25", "rmin": "2.0", "nx": "10", "penal": "4"})
+    assert (cfg.volfrac, cfg.rmin, cfg.nx, cfg.penal, cfg.ny) == (0.3, 1.5, 8, 4.0, 20)
+    # every layer is parsed, even under a higher one that sets the same key
+    for line, file_values in (({"nx": "6"}, {"nx": "abc"}), ({}, {"rmin": "x"}),
+                              ({"nx": "abc"}, {"nx": "6"})):
+        with pytest.raises(ValueError, match="cannot parse"):
+            resolve_config({"problem": "cantilever", "nx": 5, "rmin": 2.0}, line, file_values)
+
 
 def test_main_end_to_end(tmp_path):
     out = tmp_path / "out"
@@ -370,7 +381,7 @@ def test_main_snapshots(tmp_path):
     assert snaps == ["iter_0002.pgm", "iter_0004.pgm"]
 
 
-def test_main_exit_codes(tmp_path, capsys):
+def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["--problem", "arch"])
     assert exc.value.code == 2
@@ -411,11 +422,11 @@ def test_main_exit_codes(tmp_path, capsys):
         assert capsys.readouterr().err == "error: unknown option 'jobs'\n"
 
     # a negative worker count is refused, not read as "auto"
-    sweep = tmp_path / "valid_sweep.txt"
-    sweep.write_text("nx=6 ny=4 max-iters=1\n")
+    valid_sweep = tmp_path / "valid_sweep.txt"
+    valid_sweep.write_text("nx=6 ny=4 max-iters=1\n")
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
-        main(["--problem", "cantilever", "--sweep", str(sweep), "--jobs", "-1",
+        main(["--problem", "cantilever", "--sweep", str(valid_sweep), "--jobs", "-1",
               "--out", str(tmp_path / "negative_jobs")])
     assert exc.value.code == 2
     assert capsys.readouterr().err == "error: --jobs must be at least 0 (got -1)\n"
@@ -425,7 +436,7 @@ def test_main_exit_codes(tmp_path, capsys):
     for args in (["--jobs", "abc"], ["--jobs"], ["--nx"], ["--bogus", "1"]):
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
-            main(["--problem", "cantilever", "--sweep", str(sweep),
+            main(["--problem", "cantilever", "--sweep", str(valid_sweep),
                   "--out", str(tmp_path / "parse_error"), *args])
         assert exc.value.code == 2
         err = capsys.readouterr().err
@@ -464,19 +475,30 @@ def test_main_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "bridge" in err and "load node 0" in err
 
-    # a file value that does not parse names its option, and a sweep file
-    # with no run line is refused
+    # a file value that does not parse names its option, under a flag or a
+    # sweep line that sets the same key too, and a sweep file with no run
+    # line is refused
     cfg_file = tmp_path / "abc.cfg"
     cfg_file.write_text("nx=abc\n")
     bool_file = tmp_path / "maybe.cfg"
     bool_file.write_text("quiet=maybe\n")
+    estimate_file = tmp_path / "estimate.cfg"
+    estimate_file.write_text("estimate-error=maybe\n")
     sweep = tmp_path / "abc_sweep.txt"
     sweep.write_text("nx=6 ny=4 max-iters=1 volfrac=abc\n")
+    estimate_sweep = tmp_path / "estimate_sweep.txt"
+    estimate_sweep.write_text("nx=6 ny=4 max-iters=1 estimate-error=1\n")
     empty = tmp_path / "empty_sweep.txt"
     empty.write_text("# no runs\n\n")
+    nx_abc = "option 'nx': cannot parse int from 'abc'"
+    estimate_maybe = "option 'estimate_error': cannot parse boolean from 'maybe'"
     for source, message in (
-            (["--config", str(cfg_file)], "option 'nx': cannot parse int from 'abc'"),
+            (["--config", str(cfg_file)], nx_abc),
+            (["--config", str(cfg_file), "--nx", "6"], nx_abc),
+            (["--config", str(cfg_file), "--sweep", str(valid_sweep)], nx_abc),
             (["--config", str(bool_file)], "option 'quiet': cannot parse boolean from 'maybe'"),
+            (["--config", str(estimate_file), "--estimate-error"], estimate_maybe),
+            (["--config", str(estimate_file), "--sweep", str(estimate_sweep)], estimate_maybe),
             (["--sweep", str(sweep)], "option 'volfrac': cannot parse float from 'abc'"),
             (["--sweep", str(empty)], f"sweep file {empty} contains no runs")):
         capsys.readouterr()
@@ -486,6 +508,20 @@ def test_main_exit_codes(tmp_path, capsys):
         assert exc.value.code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "abc").exists()
+
+    # an empty out is refused by a single run and by a sweep alike, and
+    # neither writes into the working directory
+    workdir = tmp_path / "empty_out"
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    for source in ([], ["--sweep", str(valid_sweep)]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["--problem", "cantilever", "--nx", "6", "--ny", "4", "--max-iters", "1",
+                  "--quiet", "--out", "", *source])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
+        assert os.listdir(workdir) == []
 
 
 def test_every_option_has_help():
@@ -763,18 +799,27 @@ def _bad_values():
 @given(problem=st.sampled_from(sorted(PRESETS)), elem=st.sampled_from(["q1", "p2"]),
        bad=_bad_values())
 def test_bad_option_values_exit_two(tmp_path_factory, problem, elem, bad):
+    # the bad value as a flag, then from a config file under a sweep line:
+    # both exit 2 with the same one line and write nothing
     name, value = bad
-    out = tmp_path_factory.mktemp("bad_option") / "out"
-    err = io.StringIO()
-    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
-        main(["--problem", problem, "--elem", elem, "--nx", "6", "--ny", "4",
-              "--max-iters", "1", "--quiet", "--out", str(out),
-              f"--{name.replace('_', '-')}={value}"])
-    assert exc.value.code == 2
-    message = err.getvalue()
+    base = tmp_path_factory.mktemp("bad_option")
+    cfg_file, sweep = base / "bad.cfg", base / "lines.txt"
+    cfg_file.write_text(f"nx=6\nny=4\nmax-iters=1\n{name}={value}\n")
+    sweep.write_text(f"elem={elem}\n")
+    messages = []
+    for options in ([f"--elem={elem}", "--nx=6", "--ny=4", "--max-iters=1",
+                     f"--{name.replace('_', '-')}={value}"],
+                    ["--config", str(cfg_file), "--sweep", str(sweep)]):
+        err = io.StringIO()
+        with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            main(["--problem", problem, "--quiet", "--out", str(base / "out"), *options])
+        assert exc.value.code == 2
+        messages.append(err.getvalue())
+        assert not (base / "out").exists()
+    message = messages[0]
     assert message.count("\n") == 1 and message.startswith("error: "), message
     assert "Traceback" not in message
-    assert not out.exists()
+    assert messages[1] == message
 
 
 @st.composite
@@ -864,6 +909,32 @@ def test_sweep_refuses_load_on_support_before_running(tmp_path, capsys):
     assert capsys.readouterr().err == ("error: bridge: the load node 0 is also a support "
                                        "on this mesh; use a finer grid\n")
     assert not (out / "run_000").exists()
+
+
+def test_mismatched_report_refused_before_any_work(tmp_path, capsys):
+    # a report.csv of another schema where a run would append stops that run,
+    # or the whole sweep, before any mesh is built or any output written
+    stale = b"a,b\n1,2\n"
+    single, sweep_out = tmp_path / "single", tmp_path / "sweep"
+    for report in (single / "report.csv", sweep_out / "run_001" / "report.csv"):
+        report.parent.mkdir(parents=True)
+        report.write_bytes(stale)
+    sweep = tmp_path / "lines.txt"
+    sweep.write_text("nx=6 ny=4 max-iters=1\nelem=p1 nx=6 ny=4 max-iters=1\n")
+    for out, report, source in (
+            (single, single / "report.csv", ["--nx", "6", "--ny", "4", "--max-iters", "1"]),
+            (sweep_out, sweep_out / "run_001" / "report.csv", ["--sweep", str(sweep)])):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["--problem", "cantilever", "--quiet", "--jobs", "1", "--out", str(out),
+                  *source])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (f"error: report schema mismatch in {report}: "
+                                           f"found ['a', 'b'], expected {REPORT_COLUMNS}\n")
+        assert report.read_bytes() == stale
+    assert sorted(path.relative_to(tmp_path).as_posix() for path in tmp_path.rglob("*")) == [
+        "lines.txt", "single", "single/report.csv", "sweep", "sweep/run_001",
+        "sweep/run_001/report.csv"]
 
 
 def test_benchmark_selftest_estimate_workload(monkeypatch):

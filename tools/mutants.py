@@ -234,9 +234,17 @@ MUTANTS = [
            "    if not 0.0 < cfg.bevel_ratio <= 1.0:", "    if False:",
            ("tests/test_bench_cli.py::test_sweep_checks_every_line_before_running",)),
     Mutant("flag keys skip the unknown-key check", CLI,
-           "for key, value in flags.items() if value is not None)",
-           "for key, value in flags.items() if value is not None and key in _FIELDS)",
+           "for key, value in (layer or {}).items() if value is not None}",
+           "for key, value in (layer or {}).items()\n"
+           "              if value is not None and (layer is not layers[0] or key in _FIELDS)}",
            ("tests/test_bench_cli.py::test_resolve_config_precedence",)),
+    Mutant("sweep line merged over the file values", CLI,
+           "cfg = resolve_config(flags, values, file_values)",
+           "cfg = resolve_config(flags, {**(file_values or {}), **values})",
+           ("tests/test_bench_cli.py::test_main_exit_codes",)),
+    Mutant("report header checked only on append", CLI,
+           '    export.check_report(os.path.join(cfg.out, "report.csv"))\n', "",
+           ("tests/test_bench_cli.py::test_mismatched_report_refused_before_any_work",)),
     Mutant("q1 gridded by --grid", CLI,
            'grid = None if cfg.elem == "q1" else cfg.grid', "grid = cfg.grid",
            ("tests/test_bench_cli.py::test_prepare_element_counts",)),
@@ -254,6 +262,9 @@ MUTANTS = [
     Mutant("failed sweep line recorded as ok", CLI,
            '"failed" if report is None else "ok"', '"ok"',
            ("tests/test_bench_cli.py::test_sweep_runs_every_line_then_reports_a_failure",)),
+    Mutant("empty sweep out accepted", CLI,
+           "    os.makedirs(base_out, exist_ok=True)", "    pass",
+           ("tests/test_bench_cli.py::test_main_exit_codes",)),
 ]
 
 
